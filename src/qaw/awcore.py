@@ -8,8 +8,14 @@ copies of the z-side representation of f,
     D_q f = (f+ - f-) / delta,      delta = (t^2 - t^-2) (z - z^-1) / 2,
     S_q f = (f+ + f-) / 2.
 
-D_q lowers the degree by one and S_q preserves it; the denominator
-always divides exactly, anything else is a bug and raises.
+On the symmetric basis z^m + z^-m both have a closed form, so neither
+operator divides:
+
+    D_q (z^m + z^-m) = 2 [m] (z^(m-1) + z^(m-3) + ... + z^(1-m)),
+    S_q (z^m + z^-m) = (t^2m + t^-2m)/2 (z^m + z^-m),
+
+with [m] = (t^2m - t^-2m)/(t^2 - t^-2) = t^(2m-2) + t^(2m-6) + ...
++ t^(2-2m).  D_q lowers the degree by one and S_q preserves it.
 
 The context also owns the two constants that the structure relations
 are phrased with: alpha = (t^2 + t^-2)/2, the average damping of x
@@ -19,8 +25,8 @@ multiplies D_q throughout.
 
 from __future__ import annotations
 
-from .scalar import Scalar, tpow, HALF, ONE, ZERO
-from .zsym import SymPoly, XPoly, ZLaurent, x_to_z, z_to_x
+from .scalar import Rat, Scalar, tpow, HALF, ONE, ZERO
+from .zsym import SymPoly, XPoly, x_to_z, z_to_x
 
 
 class OperatorContext:
@@ -33,24 +39,37 @@ class OperatorContext:
     def __init__(self):
         self.alpha: Scalar = (tpow(2) + tpow(-2)) * HALF
         self.alpha2m1: Scalar = (self.alpha * self.alpha) - ONE
-        # delta = (t^2 - t^-2)(z - z^-1)/2, the z-side divided difference
-        s = (tpow(2) - tpow(-2)) * HALF
-        self._delta = ZLaurent({1: s, -1: -s})
 
     def u2(self) -> XPoly:
         """The fixed quadratic (alpha^2 - 1)(x^2 - 1)."""
         return XPoly((-self.alpha2m1, ZERO, self.alpha2m1))
 
     def dq_sym(self, f: SymPoly) -> SymPoly:
-        plus = f.z_scale(1)
-        minus = f.z_scale(-1)
-        quo = (plus - minus).divide_exact(self._delta)
-        return SymPoly.from_zlaurent(quo)
+        # the z^j coefficient, j >= 0, is the sum of 2 [m] f_m over
+        # m = j+1, j+3, ...: a suffix sum by parity from the top down
+        out: dict[int, Scalar] = {}
+        acc = [ZERO, ZERO]
+        for m in range(max(f.max_exp, 0), 0, -1):
+            c = f.coeff(m)
+            if c:
+                two_qint = Scalar.from_terms(
+                    {(2 * m - 2 - 4 * k, 0): 2 for k in range(m)}
+                )
+                acc[m & 1] = acc[m & 1] + c * two_qint
+            s = acc[m & 1]
+            if s:
+                out[m - 1] = out[1 - m] = s
+        return SymPoly._raw(out)
 
     def sq_sym(self, f: SymPoly) -> SymPoly:
-        plus = f.z_scale(1)
-        minus = f.z_scale(-1)
-        return SymPoly.from_zlaurent((plus + minus).scale(HALF))
+        out: dict[int, Scalar] = {}
+        for m, c in f.terms():
+            if m > 0:
+                w = Scalar.from_terms({(2 * m, 0): Rat(1, 2), (-2 * m, 0): Rat(1, 2)})
+                out[m] = out[-m] = c * w
+            elif m == 0:
+                out[0] = c
+        return SymPoly._raw(out)
 
     def dq(self, f: XPoly) -> XPoly:
         """Apply D_q; the degree drops by exactly one."""

@@ -172,10 +172,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "--format", choices=("json", "text"), default="text",
             help="record format, one per line (default text)",
         )
-        p.add_argument(
-            "--seed", type=int, default=0,
-            help="seed for randomized checks (current targets are deterministic)",
-        )
         return p
 
     p = vparser("proposition", "exact structure-relation sweep")

@@ -31,9 +31,10 @@ class NumericConfig:
             if not 0.0 < q0 < 1.0:
                 raise ValueError("q sample %r outside (0, 1)" % (q0,))
         for x0 in self.x_samples:
-            if abs(x0) <= 1.0:
+            if not (math.isfinite(x0) and abs(x0) > 1.0):
                 raise ValueError(
-                    "x sample %r needs |x| > 1 for a real lattice variable" % (x0,)
+                    "x sample %r needs a finite |x| > 1 for a real lattice "
+                    "variable" % (x0,)
                 )
         if self.rel_tol <= 0.0:
             raise ValueError("rel_tol must be positive")
@@ -76,6 +77,8 @@ def lattice_sq(f: XPoly, q0: float, x0: float, n_ctx: int | None = None) -> floa
 
 def _rel_dev(a: float, b: float, abs_tol: float) -> float:
     d = abs(a - b)
+    if math.isnan(d):
+        return d
     if d <= abs_tol:
         return 0.0
     return d / max(abs(a), abs(b))
@@ -112,7 +115,10 @@ def numeric_crosscheck(
 
     At every grid point three values of each side are compared: the
     float lattice operator, the Horner value of the exact operator
-    output, and the closed-form right-hand side.
+    output, and the closed-form right-hand side.  A grid point where the
+    float pipeline breaks down (a deviation that is not finite, or an
+    evaluation that divides by zero or overflows) fails the check and is
+    named in `worst`.
     """
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
@@ -122,11 +128,14 @@ def numeric_crosscheck(
     u2 = ctx.u2()
     worst = 0.0
     worst_at = ""
+    broken = ""
 
     def track(a: float, b: float, label: str):
-        nonlocal worst, worst_at
+        nonlocal worst, worst_at, broken
         d = _rel_dev(a, b, cfg.abs_tol)
-        if d > worst:
+        if not math.isfinite(d):
+            broken = broken or label + " not finite"
+        elif d > worst:
             worst, worst_at = d, label
 
     for n in range(nmax + 1):
@@ -143,29 +152,33 @@ def numeric_crosscheck(
         }
         for q0 in cfg.q_samples:
             for x0 in cfg.x_samples:
-                vals = {k: eval_poly(p, q0, x0) for k, p in polys.items()}
-                # S_q side
-                lhs_f = lattice_sq(polys[0], q0, x0)
-                lhs_e = eval_poly(sqn, q0, x0)
-                rhs = alpha_n.evaluate(q0) * vals[0]
-                if n >= 1:
-                    rhs += c_n.evaluate(q0) * vals[-1]
-                at = "sq n=%d q=%g x=%g" % (n, q0, x0)
-                track(lhs_f, lhs_e, at + " lattice-vs-exact")
-                track(lhs_e, rhs, at + " exact-vs-closed")
-                track(lhs_f, rhs, at + " lattice-vs-closed")
-                # D_q side
-                lhs_f = eval_poly(u2, q0, x0) * lattice_dq(polys[0], q0, x0)
-                lhs_e = eval_poly(dqn, q0, x0)
-                rhs = cs[1].evaluate(q0) * vals[1] + cs[0].evaluate(q0) * vals[0]
-                if n >= 1:
-                    rhs += cs[-1].evaluate(q0) * vals[-1]
-                if n >= 2:
-                    rhs += cs[-2].evaluate(q0) * vals[-2]
-                at = "dq n=%d q=%g x=%g" % (n, q0, x0)
-                track(lhs_f, lhs_e, at + " lattice-vs-exact")
-                track(lhs_e, rhs, at + " exact-vs-closed")
-                track(lhs_f, rhs, at + " lattice-vs-closed")
+                try:
+                    vals = {k: eval_poly(p, q0, x0) for k, p in polys.items()}
+                    # S_q side
+                    lhs_f = lattice_sq(polys[0], q0, x0)
+                    lhs_e = eval_poly(sqn, q0, x0)
+                    rhs = alpha_n.evaluate(q0) * vals[0]
+                    if n >= 1:
+                        rhs += c_n.evaluate(q0) * vals[-1]
+                    at = "sq n=%d q=%g x=%g" % (n, q0, x0)
+                    track(lhs_f, lhs_e, at + " lattice-vs-exact")
+                    track(lhs_e, rhs, at + " exact-vs-closed")
+                    track(lhs_f, rhs, at + " lattice-vs-closed")
+                    # D_q side
+                    lhs_f = eval_poly(u2, q0, x0) * lattice_dq(polys[0], q0, x0)
+                    lhs_e = eval_poly(dqn, q0, x0)
+                    rhs = cs[1].evaluate(q0) * vals[1] + cs[0].evaluate(q0) * vals[0]
+                    if n >= 1:
+                        rhs += cs[-1].evaluate(q0) * vals[-1]
+                    if n >= 2:
+                        rhs += cs[-2].evaluate(q0) * vals[-2]
+                    at = "dq n=%d q=%g x=%g" % (n, q0, x0)
+                    track(lhs_f, lhs_e, at + " lattice-vs-exact")
+                    track(lhs_e, rhs, at + " exact-vs-closed")
+                    track(lhs_f, rhs, at + " lattice-vs-closed")
+                except (ZeroDivisionError, OverflowError) as exc:
+                    at = "n=%d q=%g x=%g" % (n, q0, x0)
+                    broken = broken or "%s float %s" % (at, type(exc).__name__)
 
-    status = "pass" if worst < cfg.rel_tol else "fail"
-    return NumericSummary(nmax, cfg.grid(), worst, status, worst_at)
+    status = "pass" if worst < cfg.rel_tol and not broken else "fail"
+    return NumericSummary(nmax, cfg.grid(), worst, status, broken or worst_at)

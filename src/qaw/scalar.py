@@ -154,7 +154,9 @@ def _is_ufree(a: dict) -> bool:
 # guarantee that via the shift step of Scalar normalisation.  Division
 # walks lexicographically leading terms; the quotient of an exact
 # division is produced in strictly decreasing key order, so the loop
-# terminates.
+# terminates.  The gcd's univariate rows {exponent: Rat} go through the
+# same dict kernels: a plain exponent e is the packed key of u^e, so
+# _pdiv_exact raises exactly when a row division leaves a remainder.
 # ---------------------------------------------------------------------------
 
 
@@ -216,22 +218,10 @@ def _gcd_uni(a: dict, b: dict) -> dict:
     # monic Euclid on {exp: Rat} dicts, single variable
     while b:
         db = max(b)
-        lb = b[db]
-        r = dict(a)
+        r = a
         while r and max(r) >= db:
             dr = max(r)
-            c = r[dr] / lb
-            for k, v in b.items():
-                kk = k + dr - db
-                s = r.get(kk)
-                if s is None:
-                    r[kk] = -v * c
-                else:
-                    s = s - v * c
-                    if s:
-                        r[kk] = s
-                    else:
-                        del r[kk]
+            r = _psub(r, _pmul(b, {dr - db: r[dr] / b[db]}))
         a, b = b, r
     if not a:
         return {}
@@ -265,64 +255,6 @@ def _content_t(rows: dict[int, dict]) -> dict:
     return g
 
 
-def _uni_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            k = ka + kb
-            s = out.get(k)
-            if s is None:
-                out[k] = ca * cb
-            else:
-                s = s + ca * cb
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-    return out
-
-
-def _uni_sub(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, c in b.items():
-        s = out.get(k)
-        if s is None:
-            out[k] = -c
-        else:
-            s = s - c
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-    return out
-
-
-def _uni_div_exact(a: dict, b: dict) -> dict:
-    lb = max(b)
-    cb = b[lb]
-    rem = dict(a)
-    quo: dict = {}
-    while rem:
-        la = max(rem)
-        if la < lb:
-            raise ExactDivisionError("univariate division not exact")
-        kq = la - lb
-        cq = rem[la] / cb
-        quo[kq] = cq
-        for k, v in b.items():
-            kk = k + kq
-            s = rem.get(kk)
-            if s is None:
-                rem[kk] = -v * cq
-            else:
-                s = s - v * cq
-                if s:
-                    rem[kk] = s
-                else:
-                    del rem[kk]
-    return quo
-
-
 def _pgcd(a: dict, b: dict) -> dict:
     """Gcd of two true polynomials in Q[t, u], up to a unit."""
     if not a:
@@ -342,11 +274,11 @@ def _pgcd(a: dict, b: dict) -> dict:
         return {_pack(0, j): c for j, c in g.items()}
     ca, cb = _content_t(ra), _content_t(rb)
     gc = _gcd_uni(ca, cb)
-    pa = {j: _uni_div_exact(row, ca) for j, row in ra.items()}
-    pb = {j: _uni_div_exact(row, cb) for j, row in rb.items()}
+    pa = {j: _pdiv_exact(row, ca) for j, row in ra.items()}
+    pb = {j: _pdiv_exact(row, cb) for j, row in rb.items()}
     gp = _prs_u(pa, pb)
     if gc != {0: _R1}:
-        rows = {j: _uni_mul(row, gc) for j, row in gp.items()}
+        rows = {j: _pmul(row, gc) for j, row in gp.items()}
     else:
         rows = gp
     return _join_from_u(rows)
@@ -364,9 +296,9 @@ def _prs_u(f: dict[int, dict], g: dict[int, dict]) -> dict[int, dict]:
         r = _prem_u(f, g)
         if not r:
             cont = _content_t(g)
-            return {j: _uni_div_exact(row, cont) for j, row in g.items()}
+            return {j: _pdiv_exact(row, cont) for j, row in g.items()}
         cont = _content_t(r)
-        r = {j: _uni_div_exact(row, cont) for j, row in r.items()}
+        r = {j: _pdiv_exact(row, cont) for j, row in r.items()}
         f, g = g, r
 
 
@@ -378,12 +310,12 @@ def _prem_u(f: dict[int, dict], g: dict[int, dict]) -> dict[int, dict]:
         dr = max(r)
         lr = r.pop(dr)
         # r := lg * r - lr * u^(dr - dg) * g, applied to the remaining rows
-        nr: dict[int, dict] = {j: _uni_mul(row, lg) for j, row in r.items()}
+        nr: dict[int, dict] = {j: _pmul(row, lg) for j, row in r.items()}
         for j, row in g.items():
             if j == dg:
                 continue
             jj = j + dr - dg
-            merged = _uni_sub(nr.get(jj, {}), _uni_mul(row, lr))
+            merged = _psub(nr.get(jj, {}), _pmul(row, lr))
             if merged:
                 nr[jj] = merged
             elif jj in nr:
@@ -413,21 +345,42 @@ def _normalize(num: dict, den: dict, skip_gcd: bool) -> tuple[dict, dict]:
         den = {k - dk: c for k, c in den.items()}
     if len(den) > 1 and not skip_gcd:
         # almost every fraction formed in this package reduces all the
-        # way to Laurent form, so attempt the one-shot division before
-        # paying for a gcd; a miss fails fast on a non-divisible lead
+        # way to Laurent form, so attempt the one-shot division by the
+        # non-monomial part of den before paying for a gcd; a miss fails
+        # fast on a non-divisible lead
+        di, dj = di - mi, dj - mj
+        dk = _pack(di, dj)
         try:
-            num = _pdiv_exact(num, den)
-            den = dict(_ONE_DICT)
+            quo = _pdiv_exact(num, _pshift(den, -dk))
         except ExactDivisionError:
             g = _pgcd(num, den)
             if len(g) > 1 or max(g) != 0:
                 num = _pdiv_exact(num, g)
                 den = _pdiv_exact(den, g)
+        else:
+            qi, qj = _pmins(quo)
+            mk = _pack(min(qi, di), min(qj, dj))
+            num, den = _pshift(quo, -mk), {dk - mk: _R1}
     lead = den[max(den)]
     if lead != _R1:
         num = {k: c / lead for k, c in num.items()}
         den = {k: c / lead for k, c in den.items()}
     return num, den
+
+
+def _terms_dict(terms) -> dict:
+    items = terms.items() if isinstance(terms, Mapping) else terms
+    out: dict = {}
+    for (i, j), c in items:
+        _check_exponents(i, j)
+        c = Rat(c)
+        if c:
+            k = _pack(i, j)
+            s = out.get(k)
+            out[k] = c if s is None else s + c
+            if not out[k]:
+                del out[k]
+    return out
 
 
 class Scalar:
@@ -466,32 +419,8 @@ class Scalar:
         den_terms=None,
     ) -> "Scalar":
         """Build a scalar from {(t-exp, u-exp): coefficient} data."""
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        num: dict = {}
-        for (i, j), c in items:
-            _check_exponents(i, j)
-            c = Rat(c)
-            if c:
-                k = _pack(i, j)
-                s = num.get(k)
-                num[k] = c if s is None else s + c
-                if not num[k]:
-                    del num[k]
-        if den_terms is None:
-            den = dict(_ONE_DICT)
-        else:
-            ditems = den_terms.items() if isinstance(den_terms, Mapping) else den_terms
-            den = {}
-            for (i, j), c in ditems:
-                _check_exponents(i, j)
-                c = Rat(c)
-                if c:
-                    k = _pack(i, j)
-                    s = den.get(k)
-                    den[k] = c if s is None else s + c
-                    if not den[k]:
-                        del den[k]
-        return cls._make(num, den)
+        den = dict(_ONE_DICT) if den_terms is None else _terms_dict(den_terms)
+        return cls._make(_terms_dict(terms), den)
 
     @classmethod
     def parse(cls, text: str) -> "Scalar":

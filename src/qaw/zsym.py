@@ -19,7 +19,8 @@ from math import comb
 from math import inf as _INF
 from typing import Callable, Iterable, Iterator
 
-from .scalar import ExactDivisionError, Rat, Scalar, as_scalar, ZERO, ONE, HALF
+from .scalar import ExactDivisionError, Rat, Scalar, as_scalar, ZERO, ONE
+from .scalar import _padd, _pmul, _psub
 
 NEG_INF = -_INF
 
@@ -298,47 +299,17 @@ class ZLaurent:
     def __add__(self, other):
         if not isinstance(other, ZLaurent):
             return NotImplemented
-        out = dict(self._t)
-        for m, c in other._t.items():
-            s = out.get(m)
-            s = c if s is None else s + c
-            if s:
-                out[m] = s
-            else:
-                del out[m]
-        return self._wrap(other, out)
+        return self._wrap(other, _padd(self._t, other._t))
 
     def __sub__(self, other):
         if not isinstance(other, ZLaurent):
             return NotImplemented
-        out = dict(self._t)
-        for m, c in other._t.items():
-            s = out.get(m)
-            s = -c if s is None else s - c
-            if s:
-                out[m] = s
-            else:
-                del out[m]
-        return self._wrap(other, out)
+        return self._wrap(other, _psub(self._t, other._t))
 
     def __mul__(self, other):
         if not isinstance(other, ZLaurent):
             return NotImplemented
-        a, b = self._t, other._t
-        if len(a) < len(b):
-            a, b = b, a
-        out: dict[int, Scalar] = {}
-        for mb, cb in b.items():
-            for ma, ca in a.items():
-                m = ma + mb
-                v = ca * cb
-                s = out.get(m)
-                s = v if s is None else s + v
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-        return self._wrap(other, out)
+        return self._wrap(other, _pmul(self._t, other._t))
 
     def scale(self, c):
         s = as_scalar(c)
@@ -413,12 +384,6 @@ class SymPoly(ZLaurent):
         if not self.is_symmetric():
             raise AsymmetryError("terms are not symmetric under z -> z^-1")
 
-    @classmethod
-    def from_zlaurent(cls, zl: ZLaurent) -> "SymPoly":
-        if not zl.is_symmetric():
-            raise AsymmetryError("Laurent polynomial is not symmetric")
-        return cls._raw(dict(zl._t))
-
     def to_x(self) -> XPoly:
         return z_to_x(self)
 
@@ -430,15 +395,7 @@ def x_to_z(f: XPoly) -> SymPoly:
         if a.is_zero:
             continue
         inv = Rat(1) / (1 << k)
-        for i in range(k + 1):
-            m = k - 2 * i
-            v = a.scale(comb(k, i) * inv)
-            s = out.get(m)
-            s = v if s is None else s + v
-            if s:
-                out[m] = s
-            else:
-                del out[m]
+        out = _padd(out, {k - 2 * i: a.scale(comb(k, i) * inv) for i in range(k + 1)})
     return SymPoly._raw(out)
 
 

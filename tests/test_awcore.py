@@ -5,7 +5,8 @@ import random
 import pytest
 
 from qaw.awcore import ALPHA, ALPHA2M1, OperatorContext, context, dq_apply, sq_apply, u2
-from qaw.scalar import HALF, ONE, U, ZERO, rational, tpow, upow
+from qaw.families import counterexample_family
+from qaw.scalar import HALF, ONE, U, ZERO, Scalar, rational, tpow, upow
 from qaw.zsym import SymPoly, XPoly, ZLaurent, x_to_z, z_to_x
 
 X = XPoly.x()
@@ -127,3 +128,44 @@ def test_context_is_shared():
     assert context() is context()
     fresh = OperatorContext()
     assert fresh.u2() == context().u2()
+
+
+def rand_sympoly(rng, deg):
+    terms = {}
+    for m in range(deg + 1):
+        c = Scalar.from_terms(
+            {(rng.randint(-4, 4), rng.randint(-1, 1)): rng.randint(-3, 3)
+             for _ in range(rng.randint(1, 3))}
+        )
+        terms[m] = terms[-m] = c
+    return SymPoly(terms)
+
+
+def test_closed_forms_match_definition():
+    """dq_sym and sq_sym against the shifted copies, the division by delta
+    and the halved sum that define them."""
+    ctx = context()
+    delta = delta_half_step()
+    rng = random.Random(34)
+    gamma = (U - upow(-1)) / (T2 - tpow(-2))
+    cases = [rand_sympoly(rng, deg) for deg in range(9) for _ in range(3)]
+    cases.append(SymPoly({2: gamma, 0: ONE + gamma, -2: gamma}))
+    cases.append(SymPoly({1: gamma, -1: gamma}))
+    for f in cases:
+        plus, minus = f.z_scale(1), f.z_scale(-1)
+        assert ctx.dq_sym(f) == (plus - minus).divide_exact(delta)
+        assert ctx.sq_sym(f) == (plus + minus).scale(HALF)
+        assert isinstance(ctx.dq_sym(f), SymPoly)
+        assert isinstance(ctx.sq_sym(f), SymPoly)
+
+
+def test_operators_do_not_divide(monkeypatch):
+    f = counterexample_family().poly(10)
+
+    def refuse(*args):
+        raise AssertionError("division on the operator path")
+
+    monkeypatch.setattr(Scalar, "__truediv__", refuse)
+    monkeypatch.setattr(ZLaurent, "divide_exact", refuse)
+    assert dq_apply(f).degree == 9
+    assert sq_apply(f).degree == 10

@@ -107,6 +107,29 @@ def test_verify_numeric_bad_grid(capsys):
     assert "|x| > 1" in err
 
 
+def test_verify_numeric_rejects_non_finite_x(capsys):
+    for x in ("inf", "nan"):
+        code, out, err = run(capsys, "verify", "numeric", "--x", x, "--n-max", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "finite" in err
+
+
+@pytest.mark.parametrize(
+    "grid, where",
+    [(("--x", "1e200"), "x=1e+200"), (("--q", "1e-300"), "q=1e-300")],
+)
+def test_verify_numeric_float_breakdown_fails(capsys, grid, where):
+    code, out, _ = run(
+        capsys, "verify", "numeric", *grid, "--n-max", "2", "--format", "json"
+    )
+    assert code == 1
+    assert "NaN" not in out and "Infinity" not in out
+    (rec,) = json_lines(out)
+    assert rec["status"] == "fail"
+    assert where in rec["worst"]
+
+
 def test_verify_oracle(capsys):
     code, out, _ = run(capsys, "verify", "oracle", "--n-max", "3", "--format", "json")
     assert code == 0
@@ -143,11 +166,6 @@ def test_text_format_is_default(capsys):
     code, out, _ = run(capsys, "verify", "proposition", "--n-max", "0")
     assert code == 0
     assert out.splitlines()[0].startswith("check=sq-relation")
-
-
-def test_seed_flag_accepted(capsys):
-    code, _, _ = run(capsys, "verify", "oracle", "--n-max", "1", "--seed", "7")
-    assert code == 0
 
 
 def test_unknown_flag_is_usage_error(capsys):

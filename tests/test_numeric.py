@@ -44,6 +44,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         NumericConfig(x_samples=(0.5,))
     with pytest.raises(ValueError):
+        NumericConfig(x_samples=(float("inf"),))
+    with pytest.raises(ValueError):
+        NumericConfig(x_samples=(float("nan"),))
+    with pytest.raises(ValueError):
         NumericConfig(rel_tol=0.0)
 
 

@@ -55,6 +55,19 @@ def test_long_division():
     assert num / den == quotient
 
 
+def test_division_by_monomial_times_factor_needs_no_gcd(monkeypatch):
+    # t^14 - t^10 = t^10 (t^4 - 1) carries a monomial factor that the
+    # numerator lacks; the exact division must still take the fast path
+    def no_gcd(a, b):
+        raise AssertionError("gcd fallback entered")
+
+    monkeypatch.setattr("qaw.scalar._pgcd", no_gcd)
+    got = (tpow(24) - ONE) / (tpow(14) - tpow(10))
+    want = Scalar.from_terms({(e, 0): 1 for e in (10, 6, 2, -2, -6, -10)})
+    assert got == want
+    assert got.is_laurent
+
+
 def test_division_leaves_reduced_fractions():
     s = ONE / (ONE - U)
     assert not s.is_laurent
