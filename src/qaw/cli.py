@@ -76,6 +76,8 @@ def _cmd_proof(args) -> int:
         raise ValueError(
             "--k-samples wants comma-separated integers, got %r" % args.k_samples
         ) from None
+    if not ks:
+        raise ValueError("--k-samples wants at least one index")
     ok = True
     for cert in certify_sq_step() + certify_dq_step() + certify_base_case():
         _emit(cert.record(), args.format)

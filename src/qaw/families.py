@@ -4,7 +4,9 @@ Everything here revolves around the three-term recurrence
 
     p_{n+1} = (x - rec_a(n)) p_n - rec_b(n) p_{n-1},    p_0 = 1, p_{-1} = 0,
 
-and two concrete instances: the continuous dual q-Hahn family with
+run once, on the z side (x = (z + z^-1)/2), where the operators of
+`awcore` act; the x-form of p_n is a conversion of the cached z-form.
+There are two concrete instances: the continuous dual q-Hahn family with
 parameters (a, b, c | q), and the specialisation at (1, -1, t | t^2)
 whose recurrence coefficients also have the closed forms
 
@@ -29,23 +31,21 @@ import threading
 from dataclasses import dataclass
 from typing import Callable
 
-from .scalar import Scalar, tpow, upow, rational, HALF, ONE, T, U
+from .scalar import Rat, Scalar, tpow, upow, rational, HALF, ONE, T, U, ZERO
 from .zsym import SymPoly, XPoly, z_to_x
 
 _ALPHA = (tpow(2) + tpow(-2)) * HALF
 _QUARTER = rational(1, 4)
-
-# z-side multiplication by x is convolution with (z + z^-1)/2
-_XZ = SymPoly({1: HALF, -1: HALF})
+_HALF = Rat(1, 2)
 
 
 class OPSFamily:
     """A monic family generated by its recurrence coefficients.
 
-    Polynomials are cached; the parallel z-side cache feeds the
-    operator pipeline without per-call conversion.  Cache growth is
-    guarded by a lock so concurrent readers never see a partially
-    built entry.
+    The family is held once, on the z side, where the operators act:
+    `zpoly` caches the symmetric Laurent form of each p_n, and `poly`
+    converts it to x on request.  Cache growth is guarded by a lock so
+    concurrent readers never see a partially built entry.
     """
 
     def __init__(
@@ -58,45 +58,43 @@ class OPSFamily:
         self.rec_b = rec_b
         self.name = name
         self._lock = threading.Lock()
-        self._xs: list[XPoly] = [XPoly.one()]
         self._zs: list[SymPoly] = [SymPoly({0: ONE})]
 
     def poly(self, n: int) -> XPoly:
         """The monic p_n; p_n = 0 for negative n."""
-        if n < 0:
-            return XPoly.zero()
-        with self._lock:
-            xs = self._xs
-            while len(xs) <= n:
-                m = len(xs) - 1
-                nxt = xs[m].shift_up(1) - xs[m].scale(self.rec_a(m))
-                if m > 0:
-                    nxt = nxt - xs[m - 1].scale(self.rec_b(m))
-                xs.append(nxt)
-            return xs[n]
+        return z_to_x(self.zpoly(n))
 
     def zpoly(self, n: int) -> SymPoly:
-        """The z-side image of p_n, built by the same recurrence."""
+        """p_n((z + z^-1)/2) as a symmetric Laurent polynomial.
+
+        The recurrence runs on the z^k, k >= 0, half and the result is
+        mirrored, so it is symmetric by construction.  Multiplying by x
+        averages neighbouring coefficients: the z^k coefficient of x f
+        is (f_(k-1) + f_(k+1))/2, and f_-1 = f_1 at k = 0.
+        """
         if n < 0:
             return SymPoly()
         with self._lock:
             zs = self._zs
             while len(zs) <= n:
                 m = len(zs) - 1
-                nxt = (zs[m] * _XZ) - zs[m].scale(self.rec_a(m))
-                if m > 0:
-                    nxt = nxt - zs[m - 1].scale(self.rec_b(m))
-                zs.append(nxt)
+                cur = zs[m]._t
+                prev = zs[m - 1]._t if m else {}
+                a = self.rec_a(m)
+                b = self.rec_b(m) if m else ZERO
+                out: dict[int, Scalar] = {}
+                for k in range(m + 2):
+                    v = (cur.get(k - 1, ZERO) + cur.get(k + 1, ZERO)).scale(_HALF)
+                    v = v - a * cur.get(k, ZERO) - b * prev.get(k, ZERO)
+                    if v:
+                        out[k] = out[-k] = v
+                zs.append(SymPoly._raw(out))
             return zs[n]
-
-    def polys(self, nmax: int) -> list[XPoly]:
-        self.poly(nmax)
-        return list(self._xs[: nmax + 1])
 
 
 def ttrr_polys(fam: OPSFamily, nmax: int) -> list[XPoly]:
     """p_0 ... p_nmax of the family, monic."""
-    return fam.polys(nmax)
+    return [fam.poly(n) for n in range(nmax + 1)]
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,9 @@ import math
 from dataclasses import dataclass, field
 
 from .awcore import OperatorContext, context
-from .families import OPSFamily, coeff_suite, counterexample_family
-from .zsym import XPoly
+from .families import OPSFamily, counterexample_family
+from .structure import _expected_dq, _expected_sq
+from .zsym import XPoly, z_to_x
 
 
 @dataclass(frozen=True)
@@ -27,6 +28,8 @@ class NumericConfig:
     abs_tol: float = 1e-12
 
     def __post_init__(self):
+        if not self.q_samples or not self.x_samples:
+            raise ValueError("the grid needs at least one q and one x sample")
         for q0 in self.q_samples:
             if not 0.0 < q0 < 1.0:
                 raise ValueError("q sample %r outside (0, 1)" % (q0,))
@@ -36,8 +39,10 @@ class NumericConfig:
                     "x sample %r needs a finite |x| > 1 for a real lattice "
                     "variable" % (x0,)
                 )
-        if self.rel_tol <= 0.0:
-            raise ValueError("rel_tol must be positive")
+        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0.0):
+            raise ValueError("rel_tol must be finite and positive")
+        if not (math.isfinite(self.abs_tol) and self.abs_tol >= 0.0):
+            raise ValueError("abs_tol must be finite and nonnegative")
 
     def grid(self) -> str:
         return "q in %s, x in %s" % (list(self.q_samples), list(self.x_samples))
@@ -124,7 +129,6 @@ def numeric_crosscheck(
         raise ValueError("nmax must be nonnegative")
     fam = fam or counterexample_family()
     ctx = ctx or context()
-    suite = coeff_suite()
     u2 = ctx.u2()
     worst = 0.0
     worst_at = ""
@@ -138,44 +142,32 @@ def numeric_crosscheck(
         elif d > worst:
             worst, worst_at = d, label
 
+    # x-forms of p_(n-2) .. p_(n+1) in a rolling window, each converted once;
+    # the operators act on the cached z-form of p_n
+    window = [XPoly.zero()] * 3 + [fam.poly(0)]
     for n in range(nmax + 1):
-        polys = {k: fam.poly(n + k) for k in (-2, -1, 0, 1)}
-        sqn = ctx.sq(polys[0])
-        dqn = u2 * ctx.dq(polys[0])
-        alpha_n = suite.alpha_n.instantiate_n(n)
-        c_n = suite.c_n.instantiate_n(n)
-        cs = {
-            1: suite.c_n1.instantiate_n(n),
-            0: suite.c_n2.instantiate_n(n),
-            -1: suite.c_n3.instantiate_n(n),
-            -2: suite.c_n4.instantiate_n(n),
-        }
+        window = window[1:] + [fam.poly(n + 1)]
+        polys = dict(zip((-2, -1, 0, 1), window))
+        zn = fam.zpoly(n)
+        sqn = z_to_x(ctx.sq_sym(zn))
+        dqn = u2 * z_to_x(ctx.dq_sym(zn))
+        # (name, float operator, its weight, exact left side, closed-form right side)
+        sides = (
+            ("sq", lattice_sq, XPoly.one(), sqn, _expected_sq(n)),
+            ("dq", lattice_dq, u2, dqn, _expected_dq(n)),
+        )
         for q0 in cfg.q_samples:
             for x0 in cfg.x_samples:
                 try:
                     vals = {k: eval_poly(p, q0, x0) for k, p in polys.items()}
-                    # S_q side
-                    lhs_f = lattice_sq(polys[0], q0, x0)
-                    lhs_e = eval_poly(sqn, q0, x0)
-                    rhs = alpha_n.evaluate(q0) * vals[0]
-                    if n >= 1:
-                        rhs += c_n.evaluate(q0) * vals[-1]
-                    at = "sq n=%d q=%g x=%g" % (n, q0, x0)
-                    track(lhs_f, lhs_e, at + " lattice-vs-exact")
-                    track(lhs_e, rhs, at + " exact-vs-closed")
-                    track(lhs_f, rhs, at + " lattice-vs-closed")
-                    # D_q side
-                    lhs_f = eval_poly(u2, q0, x0) * lattice_dq(polys[0], q0, x0)
-                    lhs_e = eval_poly(dqn, q0, x0)
-                    rhs = cs[1].evaluate(q0) * vals[1] + cs[0].evaluate(q0) * vals[0]
-                    if n >= 1:
-                        rhs += cs[-1].evaluate(q0) * vals[-1]
-                    if n >= 2:
-                        rhs += cs[-2].evaluate(q0) * vals[-2]
-                    at = "dq n=%d q=%g x=%g" % (n, q0, x0)
-                    track(lhs_f, lhs_e, at + " lattice-vs-exact")
-                    track(lhs_e, rhs, at + " exact-vs-closed")
-                    track(lhs_f, rhs, at + " lattice-vs-closed")
+                    for side, lattice, weight, exact, expected in sides:
+                        lhs_f = eval_poly(weight, q0, x0) * lattice(polys[0], q0, x0)
+                        lhs_e = eval_poly(exact, q0, x0)
+                        rhs = sum(c.evaluate(q0) * vals[k] for k, c in expected.items())
+                        at = "%s n=%d q=%g x=%g" % (side, n, q0, x0)
+                        track(lhs_f, lhs_e, at + " lattice-vs-exact")
+                        track(lhs_e, rhs, at + " exact-vs-closed")
+                        track(lhs_f, rhs, at + " lattice-vs-closed")
                 except (ZeroDivisionError, OverflowError) as exc:
                     at = "n=%d q=%g x=%g" % (n, q0, x0)
                     broken = broken or "%s float %s" % (at, type(exc).__name__)

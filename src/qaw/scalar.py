@@ -36,9 +36,10 @@ _SHIFT = 32
 _HALF = 1 << 31
 _MASK = (1 << 32) - 1
 
-# Sanity bound on exponents accepted from external input.  Internal
-# arithmetic only ever adds exponents of modest size, so the packing
-# cannot silently wrap.
+# Sanity bound on exponents accepted from external input: `from_terms`,
+# `tpow`, `upow`, `**` and the text parser refuse anything beyond it.
+# Internal arithmetic only ever adds exponents of modest size, so the
+# packing cannot silently wrap.
 MAX_EXPONENT = 1 << 24
 
 _R0 = Rat(0)
@@ -57,6 +58,15 @@ def _unpack(key: int) -> tuple[int, int]:
 def _check_exponents(i: int, j: int) -> None:
     if abs(i) > MAX_EXPONENT or abs(j) > MAX_EXPONENT:
         raise OverflowError("exponent (%d, %d) out of supported range" % (i, j))
+
+
+def _max_exponent(s: "Scalar") -> int:
+    """The largest |exponent| of t or u in the stored numerator and denominator."""
+    out = 0
+    for k in (*s._num, *s._den):
+        i, j = _unpack(k)
+        out = max(out, abs(i), abs(j))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -561,6 +571,10 @@ class Scalar:
     def __pow__(self, e: int) -> "Scalar":
         if not isinstance(e, int):
             return NotImplemented
+        # the canonical power stores every exponent of self times |e|, so
+        # this refuses exactly the powers the packing could not hold
+        if abs(e) * _max_exponent(self) > MAX_EXPONENT:
+            raise OverflowError("power %d leaves the supported exponent range" % e)
         if e < 0:
             return (ONE / self) ** (-e)
         out = ONE

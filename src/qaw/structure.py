@@ -16,10 +16,10 @@ Expansion works by leading-term elimination against the basis, on the
 z side.  Two routes share that algorithm:
 
 - The reference route runs in Q(t, u) through the exact operator
-  pipeline of `awcore`.  The basis element Z_k has top coefficient
-  2^-k, so each elimination step is one scaled subtraction.
-  `structure_relation` uses it, and the x-side `expand_in_basis` is the
-  public face of the same elimination.
+  pipeline of `awcore`, on the family's cached z-forms Z_k.  Z_k has
+  top coefficient 2^-k, so each elimination step is one scaled
+  subtraction.  `structure_relation` uses it, and `expand_in_basis`
+  runs it on x_to_z(f) and lays the result out as a dense list.
 - The per-n sweep `iter_proposition_reports` runs over Z[t^+-][z^+-]
   whenever the family's 2 a_n and 4 b_n are integral, u-free Laurent
   polynomials in t, as they are for the counterexample family.  It
@@ -103,21 +103,12 @@ def expand_in_basis(f: XPoly, fam: OPSFamily) -> list[Scalar]:
     """Coefficients e_0 .. e_deg(f) with f = sum e_k p_k, exact."""
     if not f:
         return []
-    deg = f.degree
-    out = [ZERO] * (deg + 1)
-    work = f
-    for k in range(deg, -1, -1):
-        c = work.coeff(k)
-        if c:
-            out[k] = c
-            work = work - fam.poly(k).scale(c)
-    if work:
-        raise ArithmeticError("elimination against a monic basis left a remainder")
-    return out
+    ex = _expand_sym(x_to_z(f), fam)
+    return [ex.get(k, ZERO) for k in range(f.degree + 1)]
 
 
 def _expand_sym(g: SymPoly, fam: OPSFamily) -> dict[int, Scalar]:
-    """z-side twin of expand_in_basis; returns {k: e_k}, nonzero only."""
+    """{k: e_k} with g = sum e_k zpoly(k), nonzero only."""
     work = dict(g._t)
     out: dict[int, Scalar] = {}
     while work:

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import json
 
-from .scalar import Rat, Scalar, tpow, upow, rational, ZERO, ONE
+from .scalar import MAX_EXPONENT, Rat, Scalar, tpow, upow, rational, ZERO, ONE
+from .scalar import _max_exponent
 from .zsym import XPoly, ZLaurent
 
 
@@ -34,6 +35,7 @@ class ParseError(ValueError):
 # ---------------------------------------------------------------------------
 
 _OPS = set("+-*/^()")
+_RANGE_MSG = "exponent beyond the supported range |e| <= %d" % MAX_EXPONENT
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -88,14 +90,22 @@ class _Parser:
             raise ParseError("unexpected %r" % val, pos)
         return v
 
+    @staticmethod
+    def _checked(v: XPoly, pos: int) -> XPoly:
+        # every intermediate stays in range, so none can reach the 2^31
+        # at which the packed u-exponent would wrap
+        if any(_max_exponent(c) > MAX_EXPONENT for c in v.coeffs()):
+            raise ParseError(_RANGE_MSG, pos)
+        return v
+
     def expr(self) -> XPoly:
         v = self.term()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, pos = self.peek()
             if kind == "op" and val in "+-":
                 self.take()
                 w = self.term()
-                v = v + w if val == "+" else v - w
+                v = self._checked(v + w if val == "+" else v - w, pos)
             else:
                 return v
 
@@ -114,6 +124,7 @@ class _Parser:
                     if not w:
                         raise ParseError("division by zero", pos)
                     v = v.scale(ONE / w.coeff(0))
+                v = self._checked(v, pos)
             else:
                 return v
 
@@ -132,8 +143,14 @@ class _Parser:
                 if e < 0:
                     raise ParseError("negative power of x", pos)
                 v = v ** e
+            elif not v:
+                v = self._zero_pow(e, pos)
             else:
-                v = XPoly((v.coeff(0) ** e,)) if v else self._zero_pow(e, pos)
+                try:
+                    v = XPoly((v.coeff(0) ** e,))
+                except OverflowError:
+                    raise ParseError(_RANGE_MSG, pos) from None
+            v = self._checked(v, pos)
         return -v if neg else v
 
     @staticmethod

@@ -90,6 +90,25 @@ def test_verify_proof_bad_k_samples(capsys):
     assert "k-samples" in err
 
 
+def test_empty_samples_are_usage_errors(capsys):
+    for argv in (
+        ("verify", "numeric", "--q", ","),
+        ("verify", "numeric", "--x", ","),
+        ("verify", "proof", "--k-samples", ","),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+
+def test_expand_exponent_out_of_range(capsys):
+    code, out, err = run(capsys, "expand", "--degree-poly", "u^2147483648")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: position 1:")
+
+
 def test_verify_numeric(capsys):
     code, out, _ = run(
         capsys, "verify", "numeric", "--n-max", "3",

@@ -21,7 +21,7 @@ from qaw.families import (
     ttrr_polys,
 )
 from qaw.scalar import HALF, ONE, Q, T, U, ZERO, rational, tpow, upow
-from qaw.zsym import XPoly, x_to_z
+from qaw.zsym import XPoly
 
 X = XPoly.x()
 GENERIC = FamilyParams(T, tpow(2), tpow(3), tpow(4))
@@ -60,9 +60,13 @@ def test_monic_and_degree():
 
 
 def test_zpoly_matches_xpoly():
-    fam = counterexample_family()
-    for n in range(9):
-        assert fam.zpoly(n) == x_to_z(fam.poly(n))
+    # the x-forms are conversions of the z-forms, so the oracle is the
+    # recurrence itself, run in XPoly arithmetic
+    for fam in (counterexample_family(), dual_qhahn_family(GENERIC)):
+        for n in range(9):
+            assert fam.zpoly(n).is_symmetric()
+            step = (X - XPoly([fam.rec_a(n)])) * fam.poly(n)
+            assert fam.poly(n + 1) == step - fam.poly(n - 1).scale(fam.rec_b(n))
 
 
 def test_family_params_validation():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import qaw.awcore
 from qaw.awcore import dq_apply, sq_apply, u2
 from qaw.families import counterexample_family
 from qaw.numeric import (
@@ -49,6 +50,18 @@ def test_config_validation():
         NumericConfig(x_samples=(float("nan"),))
     with pytest.raises(ValueError):
         NumericConfig(rel_tol=0.0)
+    # configurations that would compare nothing, or pass any deviation
+    for bad in (
+        dict(q_samples=()),
+        dict(x_samples=()),
+        dict(abs_tol=float("inf")),
+        dict(abs_tol=float("nan")),
+        dict(abs_tol=-1e-12),
+        dict(rel_tol=float("inf")),
+        dict(rel_tol=float("nan")),
+    ):
+        with pytest.raises(ValueError):
+            NumericConfig(**bad)
 
 
 def test_lattice_needs_outside_unit_interval():
@@ -95,6 +108,15 @@ def test_deviation_growth_stays_tame():
     summary = numeric_crosscheck(cfg, 20)
     assert summary.status == "pass"
     assert summary.max_rel_dev < 1e-8
+
+
+def test_crosscheck_stays_on_the_z_side(monkeypatch):
+    def refuse(f):
+        raise AssertionError("x_to_z called")
+
+    monkeypatch.setattr(qaw.awcore, "x_to_z", refuse)
+    summary = numeric_crosscheck(NumericConfig(), 3)
+    assert summary.status == "pass"
 
 
 def test_crosscheck_guards():

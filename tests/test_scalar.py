@@ -83,6 +83,12 @@ def test_from_terms_merges_and_drops_zeros():
 def test_exponent_guard():
     with pytest.raises(OverflowError):
         Scalar.from_terms({(MAX_EXPONENT + 1, 0): 1})
+    assert U ** MAX_EXPONENT == upow(MAX_EXPONENT)
+    assert (T * U) ** -MAX_EXPONENT == tpow(-MAX_EXPONENT) * upow(-MAX_EXPONENT)
+    # u^(2^32) would wrap onto the packed key of t
+    for base, e in ((U, 1 << 32), (U, MAX_EXPONENT + 1), (T * T, -(MAX_EXPONENT // 2 + 1))):
+        with pytest.raises(OverflowError):
+            base ** e
 
 
 def test_float_coefficients_rejected():

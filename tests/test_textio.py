@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from qaw.scalar import HALF, ONE, Scalar, T, U, rational, tpow, upow
+from qaw.scalar import HALF, MAX_EXPONENT, ONE, Scalar, T, U, rational, tpow, upow
 from qaw.textio import (
     ParseError,
     format_record,
@@ -51,6 +51,27 @@ def test_parse_error_positions(text, pos):
         parse_xpoly(text)
     assert info.value.pos == pos
     assert ("position %d:" % pos) in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "text,pos",
+    [
+        ("u^4294967296", 1),
+        ("u^2147483648", 1),
+        ("u^2147483647*u", 1),
+        ("u^16777216*u", 10),
+        ("t^-16777216/t", 11),
+        ("x*u^16777216*u^-1*u^16777216", 17),
+        ("1/(u^16777216+1)+1/(u^16777216+2)", 16),
+    ],
+)
+def test_exponent_range_is_checked(text, pos):
+    # the packed u-exponent wraps at 2^31, so no intermediate may get there
+    with pytest.raises(ParseError) as info:
+        parse_xpoly(text)
+    assert info.value.pos == pos
+    assert "supported range" in str(info.value)
+    assert parse_scalar("u^16777216") == upow(MAX_EXPONENT)
 
 
 def test_scalar_grammar_rejects_x():
