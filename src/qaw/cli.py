@@ -33,37 +33,24 @@ from .structure import bandwidth_scan, expand_in_basis, iter_proposition_reports
 from .textio import format_record, render_scalar
 from .zsym import XPoly
 
-_ENV_NMAX = "QAW_NMAX_DEFAULT"
-
 
 def _emit(rec: dict, fmt: str):
     print(format_record(rec, fmt), flush=True)
 
 
-def _default_nmax() -> int:
-    raw = os.environ.get(_ENV_NMAX)
-    if raw is None:
-        return 40
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError("%s=%r is not an integer" % (_ENV_NMAX, raw)) from None
-
-
 def _cmd_proposition(args) -> int:
-    nmax = args.n_max if args.n_max is not None else _default_nmax()
-    if nmax < 0:
+    if args.n_max < 0:
         raise ValueError("--n-max must be nonnegative")
     fam = counterexample_family()
     ctx = context()
     ok = True
     reports = []
-    for rep in iter_proposition_reports(nmax, fam, ctx):
+    for rep in iter_proposition_reports(args.n_max, fam, ctx):
         reports.append(rep)
         _emit(rep.record(), args.format)
         ok = ok and rep.status == "pass"
-    if nmax >= 2:
-        summary = bandwidth_scan(fam, ctx.u2(), nmax, reports=reports)
+    if args.n_max >= 2:
+        summary = bandwidth_scan(fam, ctx.u2(), args.n_max, reports=reports)
         _emit(summary.record(), args.format)
         ok = ok and summary.status == "pass"
     return 0 if ok else 1
@@ -178,8 +165,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = vparser("proposition", "exact structure-relation sweep")
     p.add_argument(
-        "--n-max", type=int, default=None,
-        help="largest index checked (default: $%s or 40)" % _ENV_NMAX,
+        "--n-max", type=int, default=40,
+        help="largest index checked (default 40)",
     )
     p.set_defaults(func=_cmd_proposition)
 

@@ -6,11 +6,18 @@ fraction field of Laurent polynomials in two commuting indeterminates,
     t  (a fixed fourth root of the deformation parameter, q = t^4),
     u  (a placeholder for the n-dependent monomial, u = t^(2n)),
 
-with rational coefficients.  A value is stored as a reduced fraction
-num/den of true polynomials; the denominator is monic in its
-lexicographically leading term and the pair carries no common monomial
-factor, so equal field elements have equal representations and the zero
-test is a dict lookup.
+with rational coefficients.  A value is stored as a fraction num/den of
+true polynomials; the pair carries no common monomial factor and the
+denominator is monic in its lexicographically leading term.
+
+Normalisation reduces by one exact division and never by a gcd.  Every
+value that is a Laurent polynomial, as almost every coefficient formed
+in this package is, ends up with a monomial denominator, so equal
+Laurent values have equal representations and the zero test is a dict
+lookup.  Any other fraction is kept as formed: num and den may share a
+factor that is not a monomial, so (t^2 - 1)/(t^2 + t - 2) is stored and
+rendered unreduced, and equality of two such fractions is decided by
+cross-multiplication.
 
 Exponent pairs (i, j) are packed into a single integer key
 (i << 32) + j, which turns monomial multiplication into integer
@@ -153,20 +160,22 @@ def _pmins(a: dict) -> tuple[int, int]:
     return mi, mj  # type: ignore[return-value]
 
 
-def _is_ufree(a: dict) -> bool:
-    return all(((k + _HALF) & _MASK) == _HALF for k in a)
-
-
 # ---------------------------------------------------------------------------
-# exact division and gcd over Q[t, u]
+# exact division over Q[t, u]
 #
 # Inputs here are true polynomials (all exponents nonnegative); callers
 # guarantee that via the shift step of Scalar normalisation.  Division
 # walks lexicographically leading terms; the quotient of an exact
 # division is produced in strictly decreasing key order, so the loop
-# terminates.  The gcd's univariate rows {exponent: Rat} go through the
-# same dict kernels: a plain exponent e is the packed key of u^e, so
-# _pdiv_exact raises exactly when a row division leaves a remainder.
+# terminates, and it raises exactly when b does not divide a.
+#
+# This division is the only reduction Scalar performs.  Let den = m*d
+# with m a monomial and d free of monomial factors.  The value num/den
+# is Laurent exactly when num = L*d for a Laurent polynomial L, and then
+# L is a true polynomial (t and u are primes that do not divide d), so
+# the division of num by d succeeds.  Laurent values are therefore
+# always brought to a monomial denominator; any other fraction is kept
+# as it stands, with no search for a common factor.
 # ---------------------------------------------------------------------------
 
 
@@ -175,20 +184,7 @@ class ExactDivisionError(ArithmeticError):
 
 
 def _pdiv_exact(a: dict, b: dict) -> dict:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    if not a:
-        return {}
-    if len(b) == 1:
-        ((kb, cb),) = b.items()
-        out = {}
-        for k, c in a.items():
-            kq = k - kb
-            i, j = _unpack(kq)
-            if i < 0 or j < 0:
-                raise ExactDivisionError("monomial does not divide")
-            out[kq] = c / cb
-        return out
+    """a / b for nonzero a and b; raises ExactDivisionError on a remainder."""
     rem = dict(a)
     kb = max(b)
     cb = b[kb]
@@ -203,7 +199,7 @@ def _pdiv_exact(a: dict, b: dict) -> dict:
         quo[kq] = cq
         for k, c in b.items():
             kk = k + kq
-            s = rem.get(k + kq)
+            s = rem.get(kk)
             if s is None:
                 rem[kk] = -c * cq
             else:
@@ -215,125 +211,6 @@ def _pdiv_exact(a: dict, b: dict) -> dict:
     return quo
 
 
-def _univar(a: dict, tside: bool) -> dict:
-    # collapse a u-free (resp. t-free) poly to {exponent: Rat}
-    out = {}
-    for k, c in a.items():
-        i, j = _unpack(k)
-        out[i if tside else j] = c
-    return out
-
-
-def _gcd_uni(a: dict, b: dict) -> dict:
-    # monic Euclid on {exp: Rat} dicts, single variable
-    while b:
-        db = max(b)
-        r = a
-        while r and max(r) >= db:
-            dr = max(r)
-            r = _psub(r, _pmul(b, {dr - db: r[dr] / b[db]}))
-        a, b = b, r
-    if not a:
-        return {}
-    la = a[max(a)]
-    return {k: v / la for k, v in a.items()}
-
-
-def _coeffs_in_u(a: dict) -> dict[int, dict]:
-    # split a bivariate poly into {u-exponent: t-poly as {t-exp: Rat}}
-    out: dict[int, dict] = {}
-    for k, c in a.items():
-        i, j = _unpack(k)
-        out.setdefault(j, {})[i] = c
-    return out
-
-
-def _join_from_u(rows: dict[int, dict]) -> dict:
-    out = {}
-    for j, row in rows.items():
-        for i, c in row.items():
-            out[_pack(i, j)] = c
-    return out
-
-
-def _content_t(rows: dict[int, dict]) -> dict:
-    g: dict = {}
-    for row in rows.values():
-        g = _gcd_uni(g, row)
-        if g and max(g) == 0:
-            return {0: _R1}
-    return g
-
-
-def _pgcd(a: dict, b: dict) -> dict:
-    """Gcd of two true polynomials in Q[t, u], up to a unit."""
-    if not a:
-        return dict(b)
-    if not b:
-        return dict(a)
-    if len(a) == 1 or len(b) == 1:
-        ai, aj = _pmins(a)
-        bi, bj = _pmins(b)
-        return {_pack(min(ai, bi), min(aj, bj)): _R1}
-    if _is_ufree(a) and _is_ufree(b):
-        g = _gcd_uni(_univar(a, True), _univar(b, True))
-        return {_pack(i, 0): c for i, c in g.items()}
-    ra, rb = _coeffs_in_u(a), _coeffs_in_u(b)
-    if max(ra) == 0 and max(rb) == 0:
-        g = _gcd_uni(_univar(a, False), _univar(b, False))
-        return {_pack(0, j): c for j, c in g.items()}
-    ca, cb = _content_t(ra), _content_t(rb)
-    gc = _gcd_uni(ca, cb)
-    pa = {j: _pdiv_exact(row, ca) for j, row in ra.items()}
-    pb = {j: _pdiv_exact(row, cb) for j, row in rb.items()}
-    gp = _prs_u(pa, pb)
-    if gc != {0: _R1}:
-        rows = {j: _pmul(row, gc) for j, row in gp.items()}
-    else:
-        rows = gp
-    return _join_from_u(rows)
-
-
-def _prs_u(f: dict[int, dict], g: dict[int, dict]) -> dict[int, dict]:
-    # primitive pseudo-remainder sequence in u, coefficients in Q[t];
-    # inputs are primitive wrt their t-content
-    if max(f) < max(g):
-        f, g = g, f
-    while True:
-        dg = max(g)
-        if dg == 0:
-            return {0: {0: _R1}}
-        r = _prem_u(f, g)
-        if not r:
-            cont = _content_t(g)
-            return {j: _pdiv_exact(row, cont) for j, row in g.items()}
-        cont = _content_t(r)
-        r = {j: _pdiv_exact(row, cont) for j, row in r.items()}
-        f, g = g, r
-
-
-def _prem_u(f: dict[int, dict], g: dict[int, dict]) -> dict[int, dict]:
-    df, dg = max(f), max(g)
-    lg = g[dg]
-    r = {j: dict(row) for j, row in f.items()}
-    while r and max(r) >= dg:
-        dr = max(r)
-        lr = r.pop(dr)
-        # r := lg * r - lr * u^(dr - dg) * g, applied to the remaining rows
-        nr: dict[int, dict] = {j: _pmul(row, lg) for j, row in r.items()}
-        for j, row in g.items():
-            if j == dg:
-                continue
-            jj = j + dr - dg
-            merged = _psub(nr.get(jj, {}), _pmul(row, lr))
-            if merged:
-                nr[jj] = merged
-            elif jj in nr:
-                del nr[jj]
-        r = {j: row for j, row in nr.items() if row}
-    return r
-
-
 # ---------------------------------------------------------------------------
 # Scalar
 # ---------------------------------------------------------------------------
@@ -341,7 +218,7 @@ def _prem_u(f: dict[int, dict], g: dict[int, dict]) -> dict[int, dict]:
 _ONE_DICT = {0: _R1}
 
 
-def _normalize(num: dict, den: dict, skip_gcd: bool) -> tuple[dict, dict]:
+def _normalize(num: dict, den: dict, skip_division: bool) -> tuple[dict, dict]:
     if not den:
         raise ZeroDivisionError("scalar with zero denominator")
     if not num:
@@ -353,20 +230,16 @@ def _normalize(num: dict, den: dict, skip_gcd: bool) -> tuple[dict, dict]:
         dk = _pack(mi, mj)
         num = {k - dk: c for k, c in num.items()}
         den = {k - dk: c for k, c in den.items()}
-    if len(den) > 1 and not skip_gcd:
-        # almost every fraction formed in this package reduces all the
-        # way to Laurent form, so attempt the one-shot division by the
-        # non-monomial part of den before paying for a gcd; a miss fails
-        # fast on a non-divisible lead
+    if len(den) > 1 and not skip_division:
+        # divide by den with its own monomial factor taken out; this
+        # succeeds exactly when the value is Laurent, and a miss fails
+        # fast on a non-divisible lead and keeps the fraction as it is
         di, dj = di - mi, dj - mj
         dk = _pack(di, dj)
         try:
             quo = _pdiv_exact(num, _pshift(den, -dk))
         except ExactDivisionError:
-            g = _pgcd(num, den)
-            if len(g) > 1 or max(g) != 0:
-                num = _pdiv_exact(num, g)
-                den = _pdiv_exact(den, g)
+            pass
         else:
             qi, qj = _pmins(quo)
             mk = _pack(min(qi, di), min(qj, dj))
@@ -394,7 +267,13 @@ def _terms_dict(terms) -> dict:
 
 
 class Scalar:
-    """An element of Q(t, u) in canonical reduced form.
+    """An element of Q(t, u) in normal form.
+
+    A Laurent value has exactly one representation, with a monomial
+    denominator; `is_laurent` is exact.  A fraction that is not Laurent
+    is not reduced beyond its common monomial, so `==` cross-multiplies
+    and the representation, the rendering and `has_u` may show a factor
+    that cancels.
 
     Construct via the module helpers (`tpow`, `upow`, `rational`,
     `from_terms`, `parse`) or by arithmetic on existing values; the two
@@ -411,15 +290,15 @@ class Scalar:
 
     def __init__(self, num: dict, den: dict, _canonical: bool = False):
         if not _canonical:
-            num, den = _normalize(num, den, skip_gcd=False)
+            num, den = _normalize(num, den, skip_division=False)
         self._num = num
         self._den = den
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def _make(num: dict, den: dict, skip_gcd: bool = False) -> "Scalar":
-        num, den = _normalize(num, den, skip_gcd)
+    def _make(num: dict, den: dict, skip_division: bool = False) -> "Scalar":
+        num, den = _normalize(num, den, skip_division)
         return Scalar(num, den, _canonical=True)
 
     @classmethod
@@ -462,6 +341,11 @@ class Scalar:
 
     @property
     def has_u(self) -> bool:
+        """True when the stored fraction mentions u.
+
+        Exact for a Laurent value; a fraction that is not Laurent can
+        carry u in a factor that cancels.
+        """
         m = _HALF
         return any(((k + m) & _MASK) != m for k in self._num) or any(
             ((k + m) & _MASK) != m for k in self._den
@@ -502,9 +386,20 @@ class Scalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._num == other._num and self._den == other._den
+        if self._den == other._den:
+            return self._num == other._num
+        if len(self._den) == 1 or len(other._den) == 1:
+            # a Laurent value has one representation, and a non-monomial
+            # denominator marks a value that is not Laurent
+            return False
+        return _pmul(self._num, other._den) == _pmul(other._num, self._den)
 
     def __hash__(self) -> int:
+        if len(self._den) > 1:
+            # equal fractions that are not Laurent can differ in their
+            # representation, so they all share one bucket; nothing in
+            # the package keys a dict or a set on a Scalar
+            return 0
         return hash(
             (frozenset(self._num.items()), frozenset(self._den.items()))
         )
@@ -571,7 +466,7 @@ class Scalar:
     def __pow__(self, e: int) -> "Scalar":
         if not isinstance(e, int):
             return NotImplemented
-        # the canonical power stores every exponent of self times |e|, so
+        # the normal form of the power stores every exponent of self times |e|, so
         # this refuses exactly the powers the packing could not hold
         if abs(e) * _max_exponent(self) > MAX_EXPONENT:
             raise OverflowError("power %d leaves the supported exponent range" % e)
@@ -590,7 +485,7 @@ class Scalar:
         return ONE / self
 
     def scale(self, c: RatLike) -> "Scalar":
-        """Multiply by a plain rational, staying in canonical form."""
+        """Multiply by a plain rational, staying in normal form."""
         c = Rat(c)
         if not c or not self._num:
             return ZERO
@@ -601,15 +496,15 @@ class Scalar:
         if not e or not self._num:
             return self
         dk = e << _SHIFT
-        return Scalar._make(_pshift(self._num, dk), dict(self._den), skip_gcd=True)
+        return Scalar._make(_pshift(self._num, dk), dict(self._den), skip_division=True)
 
     # -- the two substitutions ---------------------------------------------
 
     def shift_n(self, k: int) -> "Scalar":
         """Apply the index shift n -> n + k, i.e. u -> u * t^(2k).
 
-        A ring automorphism, so reduced fractions stay reduced and no
-        gcd is recomputed.
+        A ring automorphism, so Laurent values stay in normal form and
+        other fractions stay non-Laurent: no division is attempted.
         """
         if not k or not self.has_u:
             return self
@@ -622,14 +517,15 @@ class Scalar:
                 out[key + d * j] = c
             return out
 
-        return Scalar._make(remap(self._num), remap(self._den), skip_gcd=True)
+        return Scalar._make(remap(self._num), remap(self._den), skip_division=True)
 
     def instantiate_n(self, n: int) -> "Scalar":
         """Substitute u := t^(2n), collapsing to a u-free scalar.
 
         Valid for any integer n; the family layer uses n = -1 for its
         out-of-range convention.  Raises ZeroDivisionError when the
-        denominator vanishes under the substitution.
+        stored denominator vanishes under the substitution, which for a
+        fraction that is not Laurent includes a removable singularity.
         """
         if not self.has_u:
             return self
@@ -661,7 +557,9 @@ class Scalar:
         """Evaluate at a numeric q0 in (0, 1), with t = q0^(1/4).
 
         A scalar that mentions u needs the integer n supplying
-        u = q0^(n/2).
+        u = q0^(n/2).  The stored fraction is evaluated as it stands, so
+        a fraction that is not Laurent can raise ZeroDivisionError at a
+        removable singularity.
         """
         if not 0.0 < q0 < 1.0:
             raise ValueError("q0 must lie strictly between 0 and 1")

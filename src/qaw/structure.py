@@ -108,24 +108,26 @@ def expand_in_basis(f: XPoly, fam: OPSFamily) -> list[Scalar]:
 
 
 def _expand_sym(g: SymPoly, fam: OPSFamily) -> dict[int, Scalar]:
-    """{k: e_k} with g = sum e_k zpoly(k), nonzero only."""
-    work = dict(g._t)
+    """{k: e_k} with g = sum e_k zpoly(k), nonzero only.
+
+    g and every Z_k are symmetric under z -> z^-1, so, as in
+    `_expand_int`, only the z^m, m >= 0, half is eliminated.
+    """
+    work = {m: c for m, c in g._t.items() if m >= 0}
     out: dict[int, Scalar] = {}
     while work:
         k = max(work)
-        if k < 0:
-            raise ArithmeticError("asymmetric leftover in z-side expansion")
         # Z_k is monic over x, so its z^k coefficient is 2^-k
-        e = work[k].scale(1 << k)
-        out[k] = e
+        e = out[k] = work.pop(k).scale(1 << k)
         for m, v in fam.zpoly(k)._t.items():
-            s = work.get(m)
-            w = e * v
-            s = -w if s is None else s - w
-            if s:
-                work[m] = s
-            else:
-                work.pop(m, None)
+            if 0 <= m < k:
+                s = work.get(m)
+                w = e * v
+                s = -w if s is None else s - w
+                if s:
+                    work[m] = s
+                else:
+                    work.pop(m, None)
     return out
 
 

@@ -16,6 +16,7 @@ Grammar (whitespace free):
 from __future__ import annotations
 
 import json
+import math
 
 from .scalar import MAX_EXPONENT, Rat, Scalar, tpow, upow, rational, ZERO, ONE
 from .scalar import _max_exponent
@@ -146,12 +147,23 @@ class _Parser:
             elif not v:
                 v = self._zero_pow(e, pos)
             else:
-                try:
-                    v = XPoly((v.coeff(0) ** e,))
-                except OverflowError:
-                    raise ParseError(_RANGE_MSG, pos) from None
+                v = XPoly((self._scalar_pow(v.coeff(0), e, pos),))
             v = self._checked(v, pos)
         return -v if neg else v
+
+    @staticmethod
+    def _scalar_pow(c: Scalar, e: int, pos: int) -> Scalar:
+        if c.is_rational:
+            r = c.as_rational()
+            k = int(max(abs(r.numerator), r.denominator))
+            # k^|e| needs floor(|e| log2 k) + 1 bits; refuse it before it
+            # is computed if that is more than MAX_EXPONENT
+            if abs(e) * math.log2(k) >= MAX_EXPONENT:
+                raise ParseError(_RANGE_MSG, pos)
+        try:
+            return c ** e
+        except OverflowError:
+            raise ParseError(_RANGE_MSG, pos) from None
 
     @staticmethod
     def _zero_pow(e: int, pos: int) -> XPoly:

@@ -63,6 +63,7 @@ def test_parse_error_positions(text, pos):
         ("t^-16777216/t", 11),
         ("x*u^16777216*u^-1*u^16777216", 17),
         ("1/(u^16777216+1)+1/(u^16777216+2)", 16),
+        ("2^99999999999", 1),
     ],
 )
 def test_exponent_range_is_checked(text, pos):
