@@ -13,17 +13,14 @@ relation has bandwidth (2, 1): offsets -2 .. +1, with the -2 entry
 provably nonzero from n = 2 on, which is the whole point of the family.
 
 Expansion works by leading-term elimination against the basis, on the
-z side.  Two routes share that algorithm:
+z side.  The private generator `_expansions` yields both expansions at
+every n, and every relation entry point reads them from it.  It has two
+routes:
 
-- The reference route runs in Q(t, u) through the exact operator
-  pipeline of `awcore`, on the family's cached z-forms Z_k.  Z_k has
-  top coefficient 2^-k, so each elimination step is one scaled
-  subtraction.  `structure_relation` uses it, and `expand_in_basis`
-  runs it on x_to_z(f) and lays the result out as a dense list.
-- The per-n sweep `iter_proposition_reports` runs over Z[t^+-][z^+-]
-  whenever the family's 2 a_n and 4 b_n are integral, u-free Laurent
-  polynomials in t, as they are for the counterexample family.  It
-  uses the z-monic basis Q_n = 2^n P_n,
+- The integer route runs over Z[t^+-][z^+-] whenever the family's
+  2 a_n and 4 b_n are integral, u-free Laurent polynomials in t, as
+  they are for the counterexample family.  It uses the z-monic basis
+  Q_n = 2^n P_n,
 
       Q_{n+1} = (z + z^-1 - 2 a_n) Q_n - 4 b_n Q_{n-1},
 
@@ -32,10 +29,15 @@ z side.  Two routes share that algorithm:
       Q_n(t^2 z) + Q_n(t^-2 z)                          = 2^(n+1) S_q P_n,
       (t^2 - t^-2)(z - z^-1)(Q_n(t^2 z) - Q_n(t^-2 z))  = 2^(n+3) U_2 D_q P_n.
 
+  The second holds because U_2's z-form carries the D_q denominator
+  (t^2 - t^-2)(z - z^-1)/2, so the multiplier of D_q is fixed to U_2.
   Q_k is monic in z, so eliminating against it gives integer Laurent
   polynomials E_k in t.  Only the few nonzero E_k become Scalars,
-  scaled by 2^(k-n-1) and 2^(k-n-3) respectively.  Other families
-  take the reference route.
+  scaled by 2^(k-n-1) and 2^(k-n-3) respectively.
+- Other families fall back to Q(t, u), through the exact operator
+  pipeline of `awcore` on the family's cached z-forms Z_k.  Z_k has top
+  coefficient 2^-k, so each elimination step is one scaled subtraction.
+  `expand_in_basis` runs that elimination on x_to_z(f).
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .awcore import OperatorContext, context
+from .awcore import OperatorContext, context, u2
 from .families import (
     C_SYM,
     OPSFamily,
@@ -160,12 +162,14 @@ def structure_relation(
     expected: dict[int, Scalar] | None = None,
     ctx: OperatorContext | None = None,
 ) -> StructureReport:
-    """Expand pi * (D_q p_n) in the family basis."""
+    """Expand pi * (D_q p_n) in the family basis; pi must be U_2."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    ctx = ctx or context()
-    g = x_to_z(pi) * ctx.dq_sym(fam.zpoly(n))
-    return _offsets_report("structure", n, _expand_sym(g, fam), expected)
+    if pi != u2():
+        raise ValueError("the relation is implemented for pi = U_2 only")
+    for _, _, dq in _expansions(n, fam, ctx):  # the last is U_2 D_q P_n
+        pass
+    return _offsets_report("structure", n, dq, expected)
 
 
 def _expected_sq(n: int) -> dict[int, Scalar]:
@@ -265,29 +269,21 @@ def _scaled_scalars(ex: dict[int, dict], top: int) -> dict[int, Scalar]:
     }
 
 
-def iter_proposition_reports(
-    nmax: int,
-    fam: OPSFamily | None = None,
-    ctx: OperatorContext | None = None,
-) -> Iterator[StructureReport]:
-    """Per-n reports for both relations, in order (sq then dq per n).
+def _expansions(
+    nmax: int, fam: OPSFamily, ctx: OperatorContext | None
+) -> Iterator[tuple[str, int, dict[int, Scalar]]]:
+    """(check, n, expansion) for S_q P_n, then U_2 D_q P_n, for n <= nmax.
 
-    Coefficients against the zero polynomials p_{-1}, p_{-2} are absent
-    on both sides at small n, so nothing special happens there.  The
-    integer route of the module docstring is taken when the family
-    allows it; its reports equal those of the Q(t, u) route.
+    Lazy per relation, so a consumer timing each step sees them apart.
     """
-    fam = fam or counterexample_family()
     rec = _int_recurrence(fam, nmax)
     if rec is None:
         ctx = ctx or context()
         u2z = x_to_z(ctx.u2())
         for n in range(nmax + 1):
             zn = fam.zpoly(n)
-            sq = _expand_sym(ctx.sq_sym(zn), fam)
-            yield _offsets_report("sq-relation", n, sq, _expected_sq(n))
-            dq = _expand_sym(u2z * ctx.dq_sym(zn), fam)
-            yield _offsets_report("dq-relation", n, dq, _expected_dq(n))
+            yield "sq-relation", n, _expand_sym(ctx.sq_sym(zn), fam)
+            yield "dq-relation", n, _expand_sym(u2z * ctx.dq_sym(zn), fam)
         return
     qs: list[dict] = [{0: {0: 1}}]
     for n in range(nmax + 1):
@@ -305,10 +301,24 @@ def iter_proposition_reports(
             v = _pmul(_T2_DIFF, _psub(d.get(m - 1, {}), d.get(m + 1, {})))
             if v:
                 g[m] = v
-        sq = _scaled_scalars(_expand_int(h, qs), n + 1)
-        yield _offsets_report("sq-relation", n, sq, _expected_sq(n))
-        dq = _scaled_scalars(_expand_int(g, qs), n + 3)
-        yield _offsets_report("dq-relation", n, dq, _expected_dq(n))
+        yield "sq-relation", n, _scaled_scalars(_expand_int(h, qs), n + 1)
+        yield "dq-relation", n, _scaled_scalars(_expand_int(g, qs), n + 3)
+
+
+def iter_proposition_reports(
+    nmax: int,
+    fam: OPSFamily | None = None,
+    ctx: OperatorContext | None = None,
+) -> Iterator[StructureReport]:
+    """Per-n reports for both relations, in order (sq then dq per n).
+
+    Coefficients against the zero polynomials p_{-1}, p_{-2} are absent
+    on both sides at small n, so nothing special happens there.  Both
+    routes of the module docstring give equal reports.
+    """
+    expected = {"sq-relation": _expected_sq, "dq-relation": _expected_dq}
+    for check, n, ex in _expansions(nmax, fam or counterexample_family(), ctx):
+        yield _offsets_report(check, n, ex, expected[check](n))
 
 
 def verify_proposition(
@@ -350,25 +360,25 @@ def bandwidth_scan(
     nmax: int,
     reports: list[StructureReport] | None = None,
 ) -> BandwidthSummary:
-    """Shape of the pi*D_q relation for n in [2, nmax].
+    """Shape of the pi*D_q relation for n in [2, nmax]; pi must be U_2.
 
-    Accepts precomputed reports (any reports whose coefficients came
-    from the same pi and family) to avoid rerunning the sweep.
+    `reports`, by default one `iter_proposition_reports` sweep of `fam`,
+    must hold a D_q relation for every n in [2, nmax], or ValueError.
     """
+    if pi != u2():
+        raise ValueError("the relation is implemented for pi = U_2 only")
     if nmax < 2:
         raise ValueError("bandwidth scan wants nmax >= 2")
-    by_n: dict[int, StructureReport] = {}
-    if reports:
-        for rep in reports:
-            if rep.check in ("dq-relation", "structure"):
-                by_n[rep.n] = rep
+    if reports is None:
+        reports = iter_proposition_reports(nmax, fam)
+    by_n = {r.n: r for r in reports if r.check in ("dq-relation", "structure")}
     rows = []
     max_r = max_s = 0
     all_nonzero = True
     for n in range(2, nmax + 1):
         rep = by_n.get(n)
         if rep is None:
-            rep = structure_relation(fam, pi, n)
+            raise ValueError("the reports lack the D_q relation at n = %d" % n)
         r, s = rep.bandwidth
         rows.append((n, r, s))
         max_r = max(max_r, r)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from math import comb
 from math import inf as _INF
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .scalar import ExactDivisionError, Rat, Scalar, as_scalar, ZERO, ONE
 from .scalar import _padd, _pmul, _psub
@@ -182,18 +182,6 @@ class XPoly:
             return XPoly.zero()
         return XPoly._raw(tuple(a * s for a in self._c))
 
-    def shift_up(self, k: int) -> "XPoly":
-        """Multiply by x^k."""
-        if not self._c or k == 0:
-            return self
-        return XPoly._raw((ZERO,) * k + self._c)
-
-    def map_coeffs(self, fn: Callable[[Scalar], Scalar]) -> "XPoly":
-        out = [fn(a) for a in self._c]
-        while out and out[-1].is_zero:
-            out.pop()
-        return XPoly._raw(tuple(out))
-
     # -- rendering ---------------------------------------------------------
 
     def render(self) -> str:
@@ -259,13 +247,6 @@ class ZLaurent:
     def max_exp(self):
         return max(self._t) if self._t else NEG_INF
 
-    @property
-    def min_exp(self):
-        return min(self._t) if self._t else _INF
-
-    def support(self) -> int:
-        return len(self._t)
-
     def __bool__(self) -> bool:
         return bool(self._t)
 
@@ -282,9 +263,6 @@ class ZLaurent:
             if m < 0 and -m not in t:
                 return False
         return True
-
-    def mirror(self) -> "ZLaurent":
-        return ZLaurent._raw({-m: c for m, c in self._t.items()})
 
     # -- arithmetic --------------------------------------------------------
 
@@ -383,9 +361,6 @@ class SymPoly(ZLaurent):
         super().__init__(terms)
         if not self.is_symmetric():
             raise AsymmetryError("terms are not symmetric under z -> z^-1")
-
-    def to_x(self) -> XPoly:
-        return z_to_x(self)
 
 
 def x_to_z(f: XPoly) -> SymPoly:

@@ -4,8 +4,15 @@ import random
 
 import pytest
 
-from qaw.awcore import ALPHA2M1, context, dq_apply, u2
-from qaw.families import OPSFamily, coeff_suite, counterexample_family
+from qaw import structure
+from qaw.awcore import ALPHA2M1, OperatorContext, context, dq_apply, u2
+from qaw.families import (
+    FamilyParams,
+    OPSFamily,
+    coeff_suite,
+    counterexample_family,
+    dual_qhahn_family,
+)
 from qaw.scalar import ONE, Scalar, ZERO, rational, tpow
 from qaw.structure import (
     _expand_sym,
@@ -23,6 +30,16 @@ from qaw.structure import (
 from qaw.zsym import XPoly, x_to_z
 
 X = XPoly.x()
+
+
+def bumped_family(bump):
+    """The counterexample family with bump added to b_3."""
+    base = counterexample_family()
+
+    def rec_b(n):
+        return base.rec_b(n) + bump if n == 3 else base.rec_b(n)
+
+    return OPSFamily(base.rec_a, rec_b)
 
 
 def resum(coeffs, fam):
@@ -85,13 +102,14 @@ def test_relation_coefficients_match_closed_forms():
 
 
 def test_relation_matches_x_side_pipeline():
-    fam = counterexample_family()
     w = u2()
-    for n in range(11):
-        rep = structure_relation(fam, w, n)
-        direct = expand_in_basis(w * dq_apply(fam.poly(n)), fam)
-        for k, c in enumerate(direct):
-            assert rep.coefficients.get(k - n, ZERO) == c
+    # the non-integral family takes the generator's Q(t, u) fallback
+    for fam in (counterexample_family(), bumped_family(rational(1, 3))):
+        for n in range(11):
+            rep = structure_relation(fam, w, n)
+            direct = expand_in_basis(w * dq_apply(fam.poly(n)), fam)
+            for k, c in enumerate(direct):
+                assert rep.coefficients.get(k - n, ZERO) == c
 
 
 def test_residuals_reported_on_mismatch():
@@ -146,12 +164,7 @@ def test_sweep_matches_scalar_reference():
     ids=["integral", "non-integral"],
 )
 def test_corrupted_coefficient_fails(bump, integral):
-    base = counterexample_family()
-
-    def rec_b(n):
-        return base.rec_b(n) + bump if n == 3 else base.rec_b(n)
-
-    fam = OPSFamily(base.rec_a, rec_b)
+    fam = bumped_family(bump)
     # an integral bump keeps the integer route, 1/3 forces the Q(t, u) one
     assert (_int_recurrence(fam, 6) is not None) == integral
     reports = verify_proposition(6, fam)
@@ -190,6 +203,58 @@ def test_bandwidth_scan_reuses_reports():
     summary = bandwidth_scan(fam, u2(), 6, reports=reports)
     assert summary.status == "pass"
     assert summary.nmax == 6
+    # a missing n is an error, not a recomputation
+    with pytest.raises(ValueError):
+        bandwidth_scan(fam, u2(), 6, reports=[r for r in reports if r.n != 3])
+
+
+def test_pi_other_than_u2_is_refused():
+    fam = counterexample_family()
+    with pytest.raises(ValueError):
+        structure_relation(fam, X, 3)
+    with pytest.raises(ValueError):
+        bandwidth_scan(fam, X, 3)
+
+
+def test_integral_family_never_takes_the_qtu_route(monkeypatch):
+    fam = counterexample_family()
+
+    def refuse(*args):
+        raise AssertionError("Q(t, u) route for an integral family")
+
+    monkeypatch.setattr(structure, "_expand_sym", refuse)
+    monkeypatch.setattr(OperatorContext, "dq_sym", refuse)
+    rep = structure_relation(fam, u2(), 8)
+    assert rep.bandwidth == (2, 1) and rep.status == "pass"
+    assert bandwidth_scan(fam, u2(), 8).status == "pass"
+
+
+# (a, b, c, base) and whether the lower bandwidth stays at 2: the
+# counterexample, then four perturbations whose lower bandwidth is n
+NEIGHBOURS = {
+    "1,-1,t|t^2": ((ONE, rational(-1), tpow(1), tpow(2)), True),
+    "1,-1,t^3|t^2": ((ONE, rational(-1), tpow(3), tpow(2)), False),
+    "t,-t,t^3|t^2": ((tpow(1), -tpow(1), tpow(3), tpow(2)), False),
+    "1,-1,t|t^4": ((ONE, rational(-1), tpow(1), tpow(4)), False),
+    "t,t^2,t^3|t^4": ((tpow(1), tpow(2), tpow(3), tpow(4)), False),
+}
+
+
+@pytest.mark.parametrize("label", list(NEIGHBOURS))
+def test_neighbourhood_bandwidths(label):
+    params, bounded = NEIGHBOURS[label]
+    fam = dual_qhahn_family(FamilyParams(*params))
+    assert _int_recurrence(fam, 8) is not None
+    summary = bandwidth_scan(fam, u2(), 8)
+    assert summary.rows == [(n, 2 if bounded else n, 1) for n in range(2, 9)]
+    assert summary.status == ("pass" if bounded else "fail")
+    # the kernel's D_q expansions against the Q(t, u) reference
+    ctx = context()
+    u2z = x_to_z(u2())
+    for rep in iter_proposition_reports(6, fam, ctx):
+        if rep.check == "dq-relation":
+            ref = _expand_sym(u2z * ctx.dq_sym(fam.zpoly(rep.n)), fam)
+            assert rep.coefficients == {k - rep.n: v for k, v in ref.items()}
 
 
 def test_offset_m2_witness():

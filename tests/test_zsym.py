@@ -45,7 +45,6 @@ def test_xpoly_arith():
     assert f * g == XPoly([0, 0, 1, 2])
     assert f + g - f == g
     assert (X + 1) * (X - 1) == X ** 2 - 1
-    assert f.shift_up(2) == XPoly([0, 0, 1, 2])
     assert f.scale(HALF) == XPoly([HALF, ONE])
     assert (-f) + f == XPoly.zero()
 
@@ -102,10 +101,8 @@ def test_symmetry_and_degree_preserved():
         f = rand_xpoly(rng, rng.randint(0, 12))
         g = x_to_z(f)
         assert g.is_symmetric()
-        assert g.mirror() == g
         if f:
             assert g.max_exp == f.degree
-            assert g.min_exp == -f.degree
 
 
 def test_z_scale_examples():
@@ -166,8 +163,3 @@ def test_sympoly_constructor_validates():
 def test_xpoly_parse():
     assert XPoly.parse("x^2 - t*x + 1") == X ** 2 - X.scale(T) + 1
     assert XPoly.parse("(1/2)*x") == X.scale(HALF)
-
-
-def test_map_coeffs():
-    f = XPoly([T, tpow(2)])
-    assert f.map_coeffs(lambda s: s * s) == XPoly([tpow(2), tpow(4)])
