@@ -48,11 +48,18 @@ class NumericConfig:
         return "q in %s, x in %s" % (list(self.q_samples), list(self.x_samples))
 
 
-def eval_poly(f: XPoly, q0: float, x0: float, n_ctx: int | None = None) -> float:
-    """Horner evaluation with every coefficient instantiated at q0."""
+def eval_poly(
+    f: XPoly | list[float], q0: float, x0: float, n_ctx: int | None = None
+) -> float:
+    """Horner evaluation with every coefficient instantiated at q0.
+
+    f is an XPoly, or the list of its coefficients already evaluated at
+    q0, lowest degree first.
+    """
+    cs = f if isinstance(f, list) else [c.evaluate(q0, n_ctx) for c in f.coeffs()]
     acc = 0.0
-    for c in reversed(f.coeffs()):
-        acc = acc * x0 + c.evaluate(q0, n_ctx)
+    for c in reversed(cs):
+        acc = acc * x0 + c
     return acc
 
 
@@ -64,7 +71,9 @@ def _lattice_pair(q0: float, x0: float) -> tuple[float, float]:
     return 0.5 * (zp + 1.0 / zp), 0.5 * (zm + 1.0 / zm)
 
 
-def lattice_dq(f: XPoly, q0: float, x0: float, n_ctx: int | None = None) -> float:
+def lattice_dq(
+    f: XPoly | list[float], q0: float, x0: float, n_ctx: int | None = None
+) -> float:
     """D_q f at x0 straight from the difference quotient."""
     if abs(x0) <= 1.0:
         raise ValueError("lattice evaluation needs |x| > 1")
@@ -72,7 +81,9 @@ def lattice_dq(f: XPoly, q0: float, x0: float, n_ctx: int | None = None) -> floa
     return (eval_poly(f, q0, xp, n_ctx) - eval_poly(f, q0, xm, n_ctx)) / (xp - xm)
 
 
-def lattice_sq(f: XPoly, q0: float, x0: float, n_ctx: int | None = None) -> float:
+def lattice_sq(
+    f: XPoly | list[float], q0: float, x0: float, n_ctx: int | None = None
+) -> float:
     """S_q f at x0 as the plain average of the shifted values."""
     if abs(x0) <= 1.0:
         raise ValueError("lattice evaluation needs |x| > 1")
@@ -142,6 +153,17 @@ def numeric_crosscheck(
         elif d > worst:
             worst, worst_at = d, label
 
+    # every exact coefficient is evaluated once per q0, on first use: those
+    # of p_k under the key k, of a weight under (side,), of the n-th
+    # operator sides under (side, part, n); Horner then runs on the floats
+    memo: dict[tuple, list[float]] = {}
+
+    def floats(key, coeffs, q0: float) -> list[float]:
+        cs = memo.get((key, q0))
+        if cs is None:
+            cs = memo[key, q0] = [c.evaluate(q0) for c in coeffs]
+        return cs
+
     # x-forms of p_(n-2) .. p_(n+1) in a rolling window, each converted once;
     # the operators act on the cached z-form of p_n
     window = [XPoly.zero()] * 3 + [fam.poly(0)]
@@ -159,11 +181,15 @@ def numeric_crosscheck(
         for q0 in cfg.q_samples:
             for x0 in cfg.x_samples:
                 try:
-                    vals = {k: eval_poly(p, q0, x0) for k, p in polys.items()}
+                    fp = {k: floats(n + k, p.coeffs(), q0) for k, p in polys.items()}
+                    vals = {k: eval_poly(cs, q0, x0) for k, cs in fp.items()}
                     for side, lattice, weight, exact, expected in sides:
-                        lhs_f = eval_poly(weight, q0, x0) * lattice(polys[0], q0, x0)
-                        lhs_e = eval_poly(exact, q0, x0)
-                        rhs = sum(c.evaluate(q0) * vals[k] for k, c in expected.items())
+                        wf = floats((side,), weight.coeffs(), q0)
+                        ef = floats((side, "exact", n), exact.coeffs(), q0)
+                        rf = floats((side, "closed", n), expected.values(), q0)
+                        lhs_f = eval_poly(wf, q0, x0) * lattice(fp[0], q0, x0)
+                        lhs_e = eval_poly(ef, q0, x0)
+                        rhs = sum(c * vals[k] for k, c in zip(expected, rf))
                         at = "%s n=%d q=%g x=%g" % (side, n, q0, x0)
                         track(lhs_f, lhs_e, at + " lattice-vs-exact")
                         track(lhs_e, rhs, at + " exact-vs-closed")

@@ -33,7 +33,39 @@ routes:
   (t^2 - t^-2)(z - z^-1)/2, so the multiplier of D_q is fixed to U_2.
   Q_k is monic in z, so eliminating against it gives integer Laurent
   polynomials E_k in t.  Only the few nonzero E_k become Scalars,
-  scaled by 2^(k-n-1) and 2^(k-n-3) respectively.
+  scaled by 2^(k-n-1) and 2^(k-n-3) respectively.  Everything here is
+  symmetric under z -> z^-1, so only the z^m rows with m >= 0 are kept.
+
+  Each row, an integer Laurent polynomial in t, is one Python int
+  (Kronecker substitution; D. Harvey, J. Symb. Comput. 44 (2009)).  A
+  row (P, o, B) stands for t^o f(t^g), where P = f(2^w) for a slot
+  width w common to the whole sweep and B >= max |coeff f|:
+
+  * Injectivity.  f -> f(2^w) is a ring homomorphism Z[t] -> Z, and it
+    is injective on polynomials with |c| < 2^(w-1): such an f is
+    recovered from P as its balanced base-2^w digits, and is zero
+    exactly when P is.  Sums, shifts and products therefore act on P
+    directly, with no carries to propagate.
+  * Bounds.  Every row is built by `_lincomb` as a sum of small known
+    polynomials e (2 a_m, 4 b_m, t^2 - t^-2 and shifts, E_k) times rows,
+    term by term as P += (c P_row) << (slots * w), and gets the bound
+    B = sum ||e||_1 B_row.  No row is kept, unpacked or tested for zero
+    unless B < 2^(w-1).
+  * Widening.  When a bound would reach 2^(w-1), the step in progress
+    is abandoned, every stored Q_k is rebuilt from the recurrence at
+    width 2w, in the same list, and the step is redone.  The bounds do
+    not depend on w, so the rebuild fits.  Rows never wrap, and the
+    sweep never refuses a family for its coefficient size.  The only
+    row ever unpacked is each E_k, the top row of an elimination
+    remainder.
+  * Stride.  g = 2 when every exponent of every 2 a_m is odd and every
+    exponent of 4 b_m is even, else 1.  Under that rule row m of Q_n
+    has only exponents = n + m (mod 2), by induction on the recurrence:
+    z^(+-1) Q_n moves row m +- 1 to row m, 2 a_n adds an odd exponent,
+    4 b_n Q_{n-1} an even one.  The operators and the elimination keep a
+    common parity per row in the same way, so half the slots would be
+    zeros at g = 1.  The congruence of the offsets is checked on every
+    sum rather than assumed, and a violation raises ArithmeticError.
 - Other families fall back to Q(t, u), through the exact operator
   pipeline of `awcore` on the family's cached z-forms Z_k.  Z_k has top
   coefficient 2^-k, so each elimination step is one scaled subtraction.
@@ -62,8 +94,6 @@ from .scalar import (
     ZERO,
     _padd,
     _pmul,
-    _pshift,
-    _psub,
     tpow,
 )
 from .zsym import SymPoly, XPoly, x_to_z
@@ -190,8 +220,23 @@ def _expected_dq(n: int) -> dict[int, Scalar]:
     return out
 
 
-# t^2 - t^-2 as {t-exp: int}
+# t^2 - t^-2 and 1 as {t-exp: int}
 _T2_DIFF = {2: 1, -2: -1}
+_ONE_T = {0: 1}
+
+# The slot width, in bits, that every integer sweep starts from; it
+# doubles whenever a bound needs it.  Any multiple of 8 gives the same
+# results, which the tests check at 8.
+_SLOT_BITS = 64
+
+# A packed row (P, o, B) stands for t^o f(t^g), with P = f(2^w) and
+# B >= max |coeff f|; it is zero exactly when P == 0.
+Row = tuple[int, int, int]
+_ZERO_ROW: Row = (0, 0, 0)
+
+
+class _Widen(Exception):
+    """A bound reached 2^(w - 1): the step is redone at twice the width."""
 
 
 def _int_laurent(s: Scalar, scale: int) -> dict[int, int] | None:
@@ -222,40 +267,149 @@ def _int_recurrence(fam: OPSFamily, nmax: int) -> list[tuple[dict, dict]] | None
     return out
 
 
-def _zmonic_next(qs: list[dict], a2: dict, b4: dict) -> dict:
-    """Q_{m+1} = (z + z^-1 - 2 a_m) Q_m - 4 b_m Q_{m-1}, m = len(qs) - 1."""
-    cur = qs[-1]
-    prev = qs[-2] if len(qs) > 1 else {}
+def _stride(rec: list[tuple[dict, dict]]) -> int:
+    """2 if every 2 a_m has odd and every 4 b_m even t-exponents, else 1."""
+    odd = all(x % 2 for a2, _ in rec for x in a2)
+    even = all(x % 2 == 0 for _, b4 in rec for x in b4)
+    return 2 if odd and even else 1
+
+
+def _digits(p: int, w: int) -> bytes:
+    """p plus a bias, little-endian: for a row whose bound is below
+    2^(w-1), each balanced digit c becomes the plain w-bit c + 2^(w-1)."""
+    slots = p.bit_length() // w + 2
+    bias = (1 << (w - 1)).to_bytes(w // 8, "little") * slots
+    return (p + int.from_bytes(bias, "little")).to_bytes(len(bias), "little")
+
+
+def _unpack(row: Row, w: int, g: int) -> dict[int, int]:
+    """{t-exp: int} of a row whose bound is below 2^(w - 1)."""
+    p, lo, _ = row
+    data, wb, half = _digits(p, w), w // 8, 1 << (w - 1)
     out = {}
-    for m in range(-len(qs), len(qs) + 1):
-        v = _padd(cur.get(m - 1, {}), cur.get(m + 1, {}))
-        v = _psub(v, _pmul(a2, cur.get(m, {})))
-        v = _psub(v, _pmul(b4, prev.get(m, {})))
-        if v:
-            out[m] = v
+    for s in range(len(data) // wb):
+        c = int.from_bytes(data[s * wb : (s + 1) * wb], "little") - half
+        if c:
+            out[lo + g * s] = c
     return out
 
 
-def _expand_int(g: dict[int, dict], qs: list[dict]) -> dict[int, dict]:
-    """{k: E_k} with g = sum E_k Q_k, nonzero only.
+def _lincomb(terms: list[tuple[dict[int, int], Row]], w: int, g: int) -> Row:
+    """The sum of e * row over the (e, row) pairs, each e a small {t-exp: int}.
 
-    g and every Q_k are symmetric under z -> z^-1, hence so is every
-    remainder: g is passed, and the remainder kept, as its z^m, m >= 0,
-    half alone.  Q_k is monic in z, so E_k is the top coefficient and
-    cancels it exactly.
+    Term by term, acc += (c P) << (slots * w), with the bound
+    sum ||e||_1 B.  Raises _Widen when that bound reaches 2^(w - 1), and
+    ArithmeticError when two terms' exponents are not congruent mod g.
     """
-    work = dict(g)
-    out: dict[int, dict] = {}
+    live = [(e, r) for e, r in terms if e and r[0]]
+    if not live:
+        return _ZERO_ROW
+    b = sum(sum(map(abs, e.values())) * r[2] for e, r in live)
+    if b >> (w - 1):
+        raise _Widen
+    lo = min(r[1] + min(e) for e, r in live)
+    acc = 0
+    for e, (p, o, _) in live:
+        for x, c in e.items():
+            s, off = divmod(o + x - lo, g)
+            if off:
+                raise ArithmeticError("t^%d is off the stride %d" % (o + x, g))
+            acc += (c * p) << (s * w)
+    return (acc, lo, b) if acc else _ZERO_ROW
+
+
+def _row(q: list[Row], m: int) -> Row:
+    return q[m] if m < len(q) else _ZERO_ROW
+
+
+def _twin(j: int, sign: int) -> dict[int, int]:
+    """t^(2j) + sign t^(-2j)."""
+    return _padd({2 * j: 1}, {-2 * j: sign})
+
+
+def _zmonic_next(qs: list[list[Row]], a2: dict, b4: dict, w: int, g: int) -> list[Row]:
+    """Q_{k+1} = (z + z^-1 - 2 a_k) Q_k - 4 b_k Q_{k-1}, k = len(qs) - 1.
+
+    Each Q_k is kept as its rows of z^m, m = 0..k; its z^-1 row is its
+    z^1 row, by symmetry.
+    """
+    cur = qs[-1]
+    prev = qs[-2] if len(qs) > 1 else []
+    na = {x: -c for x, c in a2.items()}
+    nb = {x: -c for x, c in b4.items()}
+    return [
+        _lincomb(
+            [
+                (_ONE_T, _row(cur, abs(m - 1))),
+                (_ONE_T, _row(cur, m + 1)),
+                (na, _row(cur, m)),
+                (nb, _row(prev, m)),
+            ],
+            w,
+            g,
+        )
+        for m in range(len(cur) + 1)
+    ]
+
+
+def _zmonic_rows(
+    rec: list[tuple[dict, dict]], count: int, w: int, g: int
+) -> list[list[Row]]:
+    """Q_0 .. Q_(count-1) at slot width w."""
+    qs = [[(1, 0, 1)]]
+    while len(qs) < count:
+        qs.append(_zmonic_next(qs, *rec[len(qs) - 1], w, g))
+    return qs
+
+
+def _sq_rows(q: list[Row], w: int, g: int) -> dict[int, Row]:
+    """Q_n(t^2 z) + Q_n(t^-2 z), i.e. 2^(n+1) S_q P_n, by its m >= 0 rows."""
+    rows = {m: _lincomb([(_twin(m, 1), r)], w, g) for m, r in enumerate(q)}
+    return {m: r for m, r in rows.items() if r[0]}
+
+
+def _dq_rows(q: list[Row], w: int, g: int) -> dict[int, Row]:
+    """(t^2 - t^-2)(z - z^-1)(Q_n(t^2 z) - Q_n(t^-2 z)) by its m >= 0 rows.
+
+    That is 2^(n+3) U_2 D_q P_n, whose z^m row is
+    (t^2 - t^-2)(d_{m-1} - d_{m+1}) with d_j = (t^(2j) - t^(-2j)) Q_n[|j|].
+    """
+    rows = {}
+    for m in range(len(q) + 1):
+        r = _lincomb(
+            [
+                (_pmul(_T2_DIFF, _twin(m - 1, -1)), _row(q, abs(m - 1))),
+                (_pmul(_T2_DIFF, _twin(-m - 1, -1)), _row(q, m + 1)),
+            ],
+            w,
+            g,
+        )
+        if r[0]:
+            rows[m] = r
+    return rows
+
+
+def _expand_int(
+    work: dict[int, Row], qs: list[list[Row]], w: int, g: int
+) -> dict[int, dict[int, int]]:
+    """{k: E_k} with work = sum E_k Q_k, nonzero only; consumes work.
+
+    work and every Q_k are symmetric under z -> z^-1, hence so is every
+    remainder, and only the z^m, m >= 0, rows are kept.  Q_k is monic in
+    z, so E_k is the remainder's top row, the only row ever unpacked, and
+    subtracting E_k Q_k cancels it exactly.
+    """
+    out: dict[int, dict[int, int]] = {}
     while work:
         k = max(work)
-        e = out[k] = work.pop(k)
-        for m, v in qs[k].items():
-            if 0 <= m < k:
-                s = _psub(work.get(m, {}), _pmul(e, v))
-                if s:
-                    work[m] = s
-                else:
-                    work.pop(m, None)
+        e = out[k] = _unpack(work.pop(k), w, g)
+        ne = {x: -c for x, c in e.items()}
+        for m, r in enumerate(qs[k][:k]):
+            s = _lincomb([(_ONE_T, work.get(m, _ZERO_ROW)), (ne, r)], w, g)
+            if s[0]:
+                work[m] = s
+            else:
+                work.pop(m, None)
     return out
 
 
@@ -285,24 +439,29 @@ def _expansions(
             yield "sq-relation", n, _expand_sym(ctx.sq_sym(zn), fam)
             yield "dq-relation", n, _expand_sym(u2z * ctx.dq_sym(zn), fam)
         return
-    qs: list[dict] = [{0: {0: 1}}]
+    g, w = _stride(rec), _SLOT_BITS
+    qs = _zmonic_rows(rec, 1, w, g)
+
+    def fitted(step):
+        """step(), redone at doubled widths until no bound reaches 2^(w - 1).
+
+        qs is rebuilt in place, so a caller's bound qs.append stays valid.
+        """
+        nonlocal w
+        while True:
+            try:
+                return step()
+            except _Widen:
+                w *= 2
+                qs[:] = _zmonic_rows(rec, len(qs), w, g)
+
     for n in range(nmax + 1):
         # G below has degree n + 1, so eliminating it needs Q_{n+1}
-        qs.append(_zmonic_next(qs, *rec[n]))
-        # H and G are symmetric in z; _expand_int wants their m >= 0 halves
-        h, d = {}, {}
-        for m, c in qs[n].items():
-            plus, minus = _pshift(c, 2 * m), _pshift(c, -2 * m)
-            d[m] = _psub(plus, minus)
-            if m >= 0:
-                h[m] = _padd(plus, minus)
-        g = {}
-        for m in range(n + 2):
-            v = _pmul(_T2_DIFF, _psub(d.get(m - 1, {}), d.get(m + 1, {})))
-            if v:
-                g[m] = v
-        yield "sq-relation", n, _scaled_scalars(_expand_int(h, qs), n + 1)
-        yield "dq-relation", n, _scaled_scalars(_expand_int(g, qs), n + 3)
+        qs.append(fitted(lambda: _zmonic_next(qs, *rec[n], w, g)))
+        sq = fitted(lambda: _expand_int(_sq_rows(qs[n], w, g), qs, w, g))
+        yield "sq-relation", n, _scaled_scalars(sq, n + 1)
+        dq = fitted(lambda: _expand_int(_dq_rows(qs[n], w, g), qs, w, g))
+        yield "dq-relation", n, _scaled_scalars(dq, n + 3)
 
 
 def iter_proposition_reports(

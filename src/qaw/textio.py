@@ -38,6 +38,35 @@ class ParseError(ValueError):
 _OPS = set("+-*/^()")
 _RANGE_MSG = "exponent beyond the supported range |e| <= %d" % MAX_EXPONENT
 
+# The most terms that a power v^e in the parser may hold, predicted
+# before it is computed.  v^e is stored as S = deg v * |e| + 1 slots, one
+# fraction per power of x; N bounds the numerator monomials x^i t^j u^k
+# of all slots together and D the denominator monomials of one slot, both
+# from `_monomial_count`, and the prediction is max(S, N) + S * D.  A
+# power beyond it is refused at the "^".  Powers of t-u monomials and of
+# rational constants predict 2 and are bounded by MAX_EXPONENT instead.
+MAX_POWER_TERMS = 1 << 10
+_SIZE_MSG = "power beyond the supported range of %d terms" % MAX_POWER_TERMS
+
+
+def _monomial_count(exps: set[tuple[int, ...]], e: int) -> int:
+    """A bound on the monomials of the e-th power of a sum over exps: the
+    e-element multisets of exps, and at most the box of e times its span."""
+    box = 1
+    for axis in zip(*exps):
+        box *= (max(axis) - min(axis)) * e + 1
+    return min(math.comb(len(exps) + e - 1, e), box)
+
+
+def _power_size(v: XPoly, e: int) -> int:
+    """The predicted number of terms of v^e, v nonzero; see MAX_POWER_TERMS."""
+    coeffs = list(enumerate(v.coeffs()))
+    num = {(i, j, k) for i, c in coeffs for j, k, _ in c.numerator_terms()}
+    den = {(j, k) for _, c in coeffs for j, k, _ in c.denominator_terms()}
+    e = abs(e)
+    slots = v.degree * e + 1
+    return max(slots, _monomial_count(num, e)) + slots * _monomial_count(den, e)
+
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     toks = []
@@ -140,6 +169,8 @@ class _Parser:
         if kind == "op" and val == "^":
             self.take()
             e = self.exponent()
+            if v and _power_size(v, e) > MAX_POWER_TERMS:
+                raise ParseError(_SIZE_MSG, pos)
             if v.degree > 0:
                 if e < 0:
                     raise ParseError("negative power of x", pos)

@@ -171,9 +171,12 @@ class XPoly:
     def __pow__(self, e: int) -> "XPoly":
         if not isinstance(e, int) or e < 0:
             return NotImplemented
-        out = XPoly.one()
-        for _ in range(e):
-            out = out * self
+        out, base = XPoly.one(), self
+        while e:
+            if e & 1:
+                out = out * base
+            base = base * base if e > 1 else base
+            e >>= 1
         return out
 
     def scale(self, c) -> "XPoly":

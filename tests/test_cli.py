@@ -95,6 +95,14 @@ def test_expand_exponent_out_of_range(capsys):
         assert err.startswith("error: position 1:")
 
 
+def test_expand_power_too_large(capsys):
+    for text, pos in (("x^99999999", 1), ("(1+t)^100000", 5)):
+        code, out, err = run(capsys, "expand", "--degree-poly", text)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: position %d:" % pos)
+
+
 def test_verify_numeric(capsys):
     code, out, _ = run(
         capsys, "verify", "numeric", "--n-max", "3",

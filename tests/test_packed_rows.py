@@ -1,0 +1,110 @@
+"""Packed rows of the integer sweep kernel against scalar's dict arithmetic.
+
+Every row operation of `structure` is one `_lincomb`: a sum of small
+integer t-polynomials times packed rows.  Hypothesis draws integer
+Laurent polynomials with small and large coefficients of both signs,
+packs them at a slot width just wide enough or wider, and checks add,
+sub, shift, small products and unpacking against `_padd`, `_psub` and
+`_pmul`, at both strides.  Where the tracked bound reaches 2^(w - 1) the
+operation must ask for a wider slot instead of returning a row.
+"""
+
+import pytest
+
+hyp = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+
+from qaw.scalar import _padd, _pmul, _psub  # noqa: E402
+from qaw.structure import _Widen, _lincomb, _unpack  # noqa: E402
+
+SETTINGS = hyp.settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    database=None,
+)
+
+UNIT = (1, 0, 1)  # the row of the constant polynomial 1
+ONE, MINUS = {0: 1}, {0: -1}
+COEFFS = st.one_of(
+    st.integers(-3, 3), st.integers(-(2**90), 2**90), st.sampled_from([127, -128])
+).filter(bool)
+
+
+def l1(e):
+    return sum(map(abs, e.values()))
+
+
+def width_for(*fs):
+    """The least multiple of 8 whose slots hold every coefficient sum of fs."""
+    w = 8
+    while any(l1(f) >> (w - 1) for f in fs):
+        w += 8
+    return w
+
+
+@st.composite
+def poly(draw, g, parity):
+    """An integer Laurent polynomial whose exponents are parity mod g."""
+    exps = st.integers(-9, 9).map(lambda k: g * k + parity)
+    return draw(st.dictionaries(exps, COEFFS, max_size=6))
+
+
+@st.composite
+def case(draw):
+    """(g, f1, f2, e, extra bits): f1, f2 congruent mod g, e of one parity."""
+    g = draw(st.sampled_from([1, 2]))
+    p = draw(st.integers(0, 1))
+    f1, f2 = draw(poly(g, p)), draw(poly(g, p))
+    e = draw(poly(g, draw(st.integers(0, 1))).filter(bool))
+    return g, f1, f2, e, draw(st.sampled_from([0, 8, 64]))
+
+
+def check(terms, want, w, g):
+    """_lincomb(terms) is want, or _Widen exactly when the bound needs it."""
+    bound = sum(l1(e) * b for e, (p, _, b) in terms if e and p)
+    if bound >> (w - 1):
+        with pytest.raises(_Widen):
+            _lincomb(terms, w, g)
+        return
+    row = _lincomb(terms, w, g)
+    assert _unpack(row, w, g) == want
+    assert (row[0] == 0) == (not want)
+    assert not want or row[2] >= max(map(abs, want.values()))
+
+
+@SETTINGS
+@hyp.given(case())
+def test_pack_unpack(c):
+    g, f, _, _, extra = c
+    w = width_for(f) + extra
+    row = _lincomb([(f, UNIT)], w, g)
+    assert _unpack(row, w, g) == f
+    assert (row[0] == 0) == (not f)
+    # P is f at t = 2^w, read at the stride
+    assert row[0] == sum(c << (w * ((x - row[1]) // g)) for x, c in f.items())
+
+
+@SETTINGS
+@hyp.given(case())
+def test_add_sub_shift_product(c):
+    g, f1, f2, e, extra = c
+    w = width_for(f1, f2) + extra
+    a, b = _lincomb([(f1, UNIT)], w, g), _lincomb([(f2, UNIT)], w, g)
+    check([(ONE, a), (ONE, b)], _padd(f1, f2), w, g)
+    check([(ONE, a), (MINUS, b)], _psub(f1, f2), w, g)
+    check([(ONE, a), (MINUS, a)], {}, w, g)
+    shift = {g * 3: 1}
+    check([(shift, a)], _pmul(shift, f1), w, g)
+    check([(e, a)], _pmul(e, f1), w, g)
+    check([(e, a), (e, b)], _padd(_pmul(e, f1), _pmul(e, f2)), w, g)
+
+
+def test_widen_is_asked_at_the_bound():
+    # |c| < 2^(w-1) fits; a sum that reaches 2^(w-1) does not
+    row = _lincomb([({0: 127}, UNIT)], 8, 1)
+    assert _unpack(row, 8, 1) == {0: 127}
+    with pytest.raises(_Widen):
+        _lincomb([(ONE, row), (ONE, UNIT)], 8, 1)
+    with pytest.raises(_Widen):
+        _lincomb([({0: -128}, UNIT)], 8, 1)

@@ -19,6 +19,8 @@ from qaw.structure import (
     _expected_dq,
     _expected_sq,
     _int_recurrence,
+    _lincomb,
+    _stride,
     _offsets_report,
     bandwidth_scan,
     expand_in_basis,
@@ -255,6 +257,83 @@ def test_neighbourhood_bandwidths(label):
         if rep.check == "dq-relation":
             ref = _expand_sym(u2z * ctx.dq_sym(fam.zpoly(rep.n)), fam)
             assert rep.coefficients == {k - rep.n: v for k, v in ref.items()}
+
+
+def test_stride_follows_the_data():
+    # g = 2 exactly when every 2 a_m has odd and every 4 b_m even exponents
+    assert _stride(_int_recurrence(counterexample_family(), 20)) == 2
+    for label, (params, _) in NEIGHBOURS.items():
+        rec = _int_recurrence(dual_qhahn_family(FamilyParams(*params)), 8)
+        assert _stride(rec) == (1 if label == "t,t^2,t^3|t^4" else 2), label
+    assert _stride(_int_recurrence(bumped_family(tpow(5)), 6)) == 1
+
+
+def big_a_family():
+    """a_n = 64, b_n = 1: ||2 a_0||_1 = 128 fills an 8-bit slot at once."""
+    return OPSFamily(lambda n: rational(64), lambda n: ONE)
+
+
+@pytest.mark.parametrize(
+    "make, nmax, first",
+    [
+        (counterexample_family, 12, None),
+        (lambda: bumped_family(tpow(5)), 6, None),
+        # the first widening fires while only Q_0 is stored, i.e. in the
+        # recurrence step that builds Q_1, not in an elimination
+        (big_a_family, 5, (1, 16)),
+    ],
+    ids=["counterexample", "bumped", "big-a"],
+)
+def test_tiny_slot_width_widens_to_the_same_reports(monkeypatch, make, nmax, first):
+    def reports():
+        return [(r.record(), r.coefficients) for r in verify_proposition(nmax, make())]
+
+    want = reports()
+    builds = []
+    rows = structure._zmonic_rows
+
+    def spy(rec, count, w, g):
+        builds.append((count, w))
+        return rows(rec, count, w, g)
+
+    monkeypatch.setattr(structure, "_SLOT_BITS", 8)
+    monkeypatch.setattr(structure, "_zmonic_rows", spy)
+    assert reports() == want
+    # the sweep started at 8 bits and doubled at least twice
+    assert builds[0] == (1, 8)
+    assert {8, 16, 32} <= {w for _, w in builds}
+    if first:
+        assert builds[1] == first
+
+
+def test_wide_recurrence_coefficient_matches_qtu_route():
+    # 2 a_0 = 2^71 is past the default 64-bit slot before any elimination
+    fam = OPSFamily(lambda n: rational(2**70), lambda n: ONE)
+    ctx = context()
+    u2z = x_to_z(u2())
+    reps = list(iter_proposition_reports(4, fam, ctx))
+    assert len(reps) == 10
+    for rep in reps:
+        zn = fam.zpoly(rep.n)
+        g = ctx.sq_sym(zn) if rep.check == "sq-relation" else u2z * ctx.dq_sym(zn)
+        ref = _expand_sym(g, fam)
+        assert rep.coefficients == {k - rep.n: v for k, v in ref.items()}
+
+
+def test_offset_off_the_stride_is_refused(monkeypatch):
+    unit = (1, 0, 1)
+    one = _lincomb([({0: 1}, unit)], 64, 2)
+    t = _lincomb([({1: 1}, unit)], 64, 2)
+    with pytest.raises(ArithmeticError):
+        _lincomb([({0: 1}, one), ({0: 1}, t)], 64, 2)
+    with pytest.raises(ArithmeticError):
+        _lincomb([({0: 1, 1: 1}, unit)], 64, 2)
+    # the kernel at stride 2 on families whose data need stride 1
+    monkeypatch.setattr(structure, "_stride", lambda rec: 2)
+    params, _ = NEIGHBOURS["t,t^2,t^3|t^4"]
+    for fam in (dual_qhahn_family(FamilyParams(*params)), bumped_family(tpow(5))):
+        with pytest.raises(ArithmeticError):
+            verify_proposition(6, fam)
 
 
 def test_offset_m2_witness():

@@ -7,7 +7,9 @@ import pytest
 
 from qaw.scalar import HALF, MAX_EXPONENT, ONE, Scalar, T, U, rational, tpow, upow
 from qaw.textio import (
+    MAX_POWER_TERMS,
     ParseError,
+    _power_size,
     format_record,
     latex_scalar,
     latex_xpoly,
@@ -73,6 +75,49 @@ def test_exponent_range_is_checked(text, pos):
     assert info.value.pos == pos
     assert "supported range" in str(info.value)
     assert parse_scalar("u^16777216") == upow(MAX_EXPONENT)
+
+
+@pytest.mark.parametrize("text,pos", [("x^99999999", 1), ("(1+t)^100000", 5)])
+def test_power_size_is_checked(text, pos):
+    # refused at the "^" from the predicted size, before any product is formed
+    with pytest.raises(ParseError) as info:
+        parse_xpoly(text)
+    assert info.value.pos == pos
+    assert "supported range" in str(info.value)
+
+
+def test_power_size_prediction():
+    # the multisets of a few monomials, the dense x slots, and the
+    # numerator and denominator counted apart
+    cases = [
+        ("x+t+u", 6, 28 + 7),
+        ("(1+t)/(1+u)", 16, 17 + 17),
+        ("(1+t)/(1+u)", -16, 17 + 17),
+        ("x", 256, 257 + 257),
+        ("1+t", 256, 257 + 1),
+        ("x+1/(1+t)", 4, 5 + 5 * 5),
+        ("t^3/7", 99, 2),
+    ]
+    for text, e, size in cases:
+        assert _power_size(parse_xpoly(text), e) == size, text
+    # the prediction bounds the terms the power holds
+    for text, e, _ in cases:
+        v = parse_xpoly(text)
+        held = sum(
+            len(list(c.numerator_terms())) + len(list(c.denominator_terms()))
+            for c in (v ** e if e > 0 else XPoly((v.coeff(0) ** e,))).coeffs()
+        )
+        assert held <= _power_size(v, e), text
+
+
+def test_power_size_limit():
+    # x^511, (x+1)^511 and (1+t)^1022 predict 1024 terms, the most allowed
+    assert MAX_POWER_TERMS == 1024
+    assert parse_xpoly("x^511").degree == 511
+    assert _power_size(parse_xpoly("1+t"), 1022) == 1024
+    for text in ("x^512", "(x+1)^512", "(1+t)^1023", "(1+u)^-1023", "(x+t+u)^43"):
+        with pytest.raises(ParseError):
+            parse_xpoly(text)
 
 
 def test_scalar_grammar_rejects_x():

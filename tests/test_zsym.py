@@ -47,6 +47,11 @@ def test_xpoly_arith():
     assert (X + 1) * (X - 1) == X ** 2 - 1
     assert f.scale(HALF) == XPoly([HALF, ONE])
     assert (-f) + f == XPoly.zero()
+    # powers square; every exponent bit pattern matches repeated products
+    h = XPoly.one()
+    for e in range(12):
+        assert f ** e == h
+        h = h * f
 
 
 def test_x_to_z_examples():
