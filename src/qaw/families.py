@@ -328,12 +328,7 @@ def aw_hyp_poly(
         zprod = zprod * SymPoly({1: -g, -1: -g, 0: ONE + g * g})
         qk = qk * q
 
-    pref = (
-        qpochhammer(a * b, q, n)
-        * qpochhammer(a * c, q, n)
-        * qpochhammer(a * d, q, n)
-    )
     f = z_to_x(total)
-    if pref.is_zero or f.degree != n or f.leading.is_zero:
+    if f.degree != n or f.leading.is_zero:
         raise ValueError("degenerate parameters: leading coefficient vanished")
     return f.scale(ONE / f.leading)

@@ -3,10 +3,16 @@
 For real x with |x| > 1 the lattice variable z = x + sqrt(x^2 - 1) is
 real, so D_q and S_q can be evaluated directly from their defining
 difference quotients at the shifted points x(s +- 1/2) without any
-algebra.  Comparing that float pipeline against Horner evaluation of
-the exact operator output (and against the closed-form right-hand
-sides) gives an independent, low-precision check that the symbolic
-layer computes the operators it claims to.
+algebra.  That float pipeline is compared against Horner evaluation of
+the exact operator output, and both against the closed-form right-hand
+sides.
+
+The exact side is the one that the sweep of `structure` expands: the
+integer kernel's packed rows of Q_k = 2^k p_k, of S_q and of U_2 D_q,
+turned to x there and to floats at q0 straight from their integer
+digits.  So the witness checks the same operator rows that the sweep
+compares against the closed forms, while the float lattice and the
+closed forms stay independent of both.
 """
 
 from __future__ import annotations
@@ -14,10 +20,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .awcore import OperatorContext, context
+from .awcore import u2
 from .families import OPSFamily, counterexample_family
-from .structure import _expected_dq, _expected_sq
-from .zsym import XPoly, z_to_x
+from .structure import (
+    XRows,
+    _expected_dq,
+    _expected_sq,
+    _operator_xrows,
+    _xrow_floats,
+)
+from .zsym import XPoly
 
 
 @dataclass(frozen=True)
@@ -122,10 +134,7 @@ class NumericSummary:
 
 
 def numeric_crosscheck(
-    cfg: NumericConfig,
-    nmax: int,
-    fam: OPSFamily | None = None,
-    ctx: OperatorContext | None = None,
+    cfg: NumericConfig, nmax: int, fam: OPSFamily | None = None
 ) -> NumericSummary:
     """Both relations for n <= nmax on the configured grid.
 
@@ -134,13 +143,13 @@ def numeric_crosscheck(
     output, and the closed-form right-hand side.  A grid point where the
     float pipeline breaks down (a deviation that is not finite, or an
     evaluation that divides by zero or overflows) fails the check and is
-    named in `worst`.
+    named in `worst`.  The family's 2 a_n and 4 b_n must be integral,
+    u-free Laurent polynomials in t, or ValueError.
     """
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
-    fam = fam or counterexample_family()
-    ctx = ctx or context()
-    u2 = ctx.u2()
+    polys, sq_exact, dq_exact = _operator_xrows(nmax, fam or counterexample_family())
+    weight = u2()
     worst = 0.0
     worst_at = ""
     broken = ""
@@ -158,35 +167,36 @@ def numeric_crosscheck(
     # operator sides under (side, part, n); Horner then runs on the floats
     memo: dict[tuple, list[float]] = {}
 
-    def floats(key, coeffs, q0: float) -> list[float]:
+    def floats(key, q0: float, make) -> list[float]:
         cs = memo.get((key, q0))
         if cs is None:
-            cs = memo[key, q0] = [c.evaluate(q0) for c in coeffs]
+            cs = memo[key, q0] = make()
         return cs
 
-    # x-forms of p_(n-2) .. p_(n+1) in a rolling window, each converted once;
-    # the operators act on the cached z-form of p_n
-    window = [XPoly.zero()] * 3 + [fam.poly(0)]
+    def kernel(key, rows: XRows, q0: float) -> list[float]:
+        return floats(key, q0, lambda: _xrow_floats(rows, q0))
+
+    def scalars(key, coeffs, q0: float) -> list[float]:
+        return floats(key, q0, lambda: [c.evaluate(q0) for c in coeffs])
+
     for n in range(nmax + 1):
-        window = window[1:] + [fam.poly(n + 1)]
-        polys = dict(zip((-2, -1, 0, 1), window))
-        zn = fam.zpoly(n)
-        sqn = z_to_x(ctx.sq_sym(zn))
-        dqn = u2 * z_to_x(ctx.dq_sym(zn))
         # (name, float operator, its weight, exact left side, closed-form right side)
         sides = (
-            ("sq", lattice_sq, XPoly.one(), sqn, _expected_sq(n)),
-            ("dq", lattice_dq, u2, dqn, _expected_dq(n)),
+            ("sq", lattice_sq, XPoly.one(), sq_exact[n], _expected_sq(n)),
+            ("dq", lattice_dq, weight, dq_exact[n], _expected_dq(n)),
         )
         for q0 in cfg.q_samples:
             for x0 in cfg.x_samples:
                 try:
-                    fp = {k: floats(n + k, p.coeffs(), q0) for k, p in polys.items()}
+                    fp = {
+                        k: kernel(n + k, polys[n + k], q0) if n + k >= 0 else []
+                        for k in (-2, -1, 0, 1)
+                    }
                     vals = {k: eval_poly(cs, q0, x0) for k, cs in fp.items()}
-                    for side, lattice, weight, exact, expected in sides:
-                        wf = floats((side,), weight.coeffs(), q0)
-                        ef = floats((side, "exact", n), exact.coeffs(), q0)
-                        rf = floats((side, "closed", n), expected.values(), q0)
+                    for side, lattice, wt, exact, expected in sides:
+                        wf = scalars((side,), wt.coeffs(), q0)
+                        ef = kernel((side, "exact", n), exact, q0)
+                        rf = scalars((side, "closed", n), expected.values(), q0)
                         lhs_f = eval_poly(wf, q0, x0) * lattice(fp[0], q0, x0)
                         lhs_e = eval_poly(ef, q0, x0)
                         rhs = sum(c * vals[k] for k, c in zip(expected, rf))

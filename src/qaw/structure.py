@@ -56,8 +56,8 @@ routes:
     width 2w, in the same list, and the step is redone.  The bounds do
     not depend on w, so the rebuild fits.  Rows never wrap, and the
     sweep never refuses a family for its coefficient size.  The only
-    row ever unpacked is each E_k, the top row of an elimination
-    remainder.
+    row the sweep ever unpacks is each E_k, the top row of an
+    elimination remainder.
   * Stride.  g = 2 when every exponent of every 2 a_m is odd and every
     exponent of 4 b_m is even, else 1.  Under that rule row m of Q_n
     has only exponents = n + m (mod 2), by induction on the recurrence:
@@ -66,6 +66,13 @@ routes:
     common parity per row in the same way, so half the slots would be
     zeros at g = 1.  The congruence of the offsets is checked on every
     sum rather than assumed, and a violation raises ArithmeticError.
+  * x-forms.  `_operator_xrows` gives the float witness of `numeric`
+    its exact values: the rows of Q_k, of S_q and of U_2 D_q, turned to
+    x by z^m + z^-m = E_m(x), E_{m+1} = 2x E_m - E_{m-1}.  Each
+    x-coefficient row is a `_lincomb` of z-rows with the integers of
+    E_m, so it widens the same way.  `_xrow_floats` turns a row into a
+    float at q0 from its digits c, each as the correctly rounded
+    c / 2^shift times q0^(e/4).
 - Other families fall back to Q(t, u), through the exact operator
   pipeline of `awcore` on the family's cached z-forms Z_k.  Z_k has top
   coefficient 2^-k, so each elimination step is one scaled subtraction.
@@ -96,7 +103,7 @@ from .scalar import (
     _pmul,
     tpow,
 )
-from .zsym import SymPoly, XPoly, x_to_z
+from .zsym import SymPoly, XPoly, _e_table, x_to_z
 
 
 @dataclass
@@ -233,6 +240,10 @@ _SLOT_BITS = 64
 # B >= max |coeff f|; it is zero exactly when P == 0.
 Row = tuple[int, int, int]
 _ZERO_ROW: Row = (0, 0, 0)
+
+# x-forms (rows, shift, w, g) stand for sum_k (rows[k] / 2^shift) x^k,
+# with every row packed at slot width w and stride g
+XRows = tuple[list[Row], int, int, int]
 
 
 class _Widen(Exception):
@@ -462,6 +473,66 @@ def _expansions(
         yield "sq-relation", n, _scaled_scalars(sq, n + 1)
         dq = fitted(lambda: _expand_int(_dq_rows(qs[n], w, g), qs, w, g))
         yield "dq-relation", n, _scaled_scalars(dq, n + 3)
+
+
+def _x_rows(z: dict[int, Row], es: list[list[int]], w: int, g: int) -> list[Row]:
+    """x-coefficient rows, lowest first, of sum_m z[m] (z^m + z^-m), z[0] once.
+
+    Row k sums E_m[k] z[m] over m.  Every E_m[k] is an integer, nonzero
+    only for m = k (mod 2), so the rows summed share one parity.
+    """
+    terms: list[list] = [[] for _ in range(max(z, default=-1) + 1)]
+    for m, r in z.items():
+        for k, c in enumerate(es[m] if m else [1]):
+            if c:
+                terms[k].append(({0: c}, r))
+    return [_lincomb(ts, w, g) for ts in terms]
+
+
+def _operator_xrows(
+    nmax: int, fam: OPSFamily
+) -> tuple[list[XRows], list[XRows], list[XRows]]:
+    """x-forms of p_0 .. p_(nmax+1), and of S_q p_n and U_2 D_q p_n, n <= nmax.
+
+    All are read from the integer route's rows: Q_k / 2^k, `_sq_rows` of
+    Q_n / 2^(n+1) and `_dq_rows` of Q_n / 2^(n+3), each turned to x by
+    `_x_rows`, at one slot width that doubles until no bound reaches it.
+    ValueError unless the family's 2 a_n and 4 b_n are integral, u-free
+    Laurent polynomials in t.
+    """
+    rec = _int_recurrence(fam, nmax)
+    if rec is None:
+        raise ValueError("the integer kernel needs integral 2 a_n and 4 b_n in t")
+    g, w = _stride(rec), _SLOT_BITS
+    es = _e_table(nmax + 1)
+
+    def x(z: dict[int, Row], shift: int) -> XRows:
+        return _x_rows(z, es, w, g), shift, w, g
+
+    while True:
+        try:
+            qs = _zmonic_rows(rec, nmax + 2, w, g)
+            return (
+                [x(dict(enumerate(q)), k) for k, q in enumerate(qs)],
+                [x(_sq_rows(qs[n], w, g), n + 1) for n in range(nmax + 1)],
+                [x(_dq_rows(qs[n], w, g), n + 3) for n in range(nmax + 1)],
+            )
+        except _Widen:
+            w *= 2
+
+
+def _xrow_floats(f: XRows, q0: float) -> list[float]:
+    """The x-coefficients of f at q0, with t = q0^(1/4), from the digits.
+
+    A digit c of t^e adds c / 2^shift, the correctly rounded quotient
+    that float(Fraction(c, 2^shift)) also gives, times q0^(e/4).
+    """
+    rows, shift, w, g = f
+    den = 1 << shift
+    return [
+        sum((c / den * q0 ** (0.25 * e) for e, c in _unpack(r, w, g).items()), 0.0)
+        for r in rows
+    ]
 
 
 def iter_proposition_reports(

@@ -377,12 +377,25 @@ def x_to_z(f: XPoly) -> SymPoly:
     return SymPoly._raw(out)
 
 
+def _e_table(deg: int) -> list[list[int]]:
+    """x-coefficients of E_0 .. E_deg, lowest first, where z^m + z^-m = E_m(x).
+
+    E_0 = 2, E_1 = 2x and E_{m+1} = 2x E_m - E_{m-1}.
+    """
+    es = [[2], [0, 2]]
+    while len(es) <= deg:
+        nxt = [0] + [2 * v for v in es[-1]]
+        for k, v in enumerate(es[-2]):
+            nxt[k] -= v
+        es.append(nxt)
+    return es[: deg + 1]
+
+
 def z_to_x(g: ZLaurent) -> XPoly:
     """Rewrite a symmetric Laurent polynomial as a polynomial in x.
 
-    Uses z^m + z^-m = E_m(x) with the integer recurrence
-    E_{m+1} = 2x E_m - E_{m-1}; asymmetric input signals a bug in the
-    caller and raises AsymmetryError.
+    Uses z^m + z^-m = E_m(x) from `_e_table`; asymmetric input signals a
+    bug in the caller and raises AsymmetryError.
     """
     if not isinstance(g, SymPoly) and not g.is_symmetric():
         raise AsymmetryError("cannot express an asymmetric polynomial in x")
@@ -393,19 +406,12 @@ def z_to_x(g: ZLaurent) -> XPoly:
     c0 = g.coeff(0)
     if c0:
         acc[0] = c0
-    eprev = [2]
-    ecur = [0, 2]
-    for m in range(1, deg + 1):
+    for m, em in enumerate(_e_table(deg)[1:], 1):
         cm = g.coeff(m)
         if cm:
-            for k, r in enumerate(ecur):
+            for k, r in enumerate(em):
                 if r:
                     acc[k] = acc[k] + cm.scale(r)
-        if m < deg:
-            enext = [0] + [2 * v for v in ecur]
-            for k, v in enumerate(eprev):
-                enext[k] -= v
-            eprev, ecur = ecur, enext
     while acc and acc[-1].is_zero:
         acc.pop()
     return XPoly._raw(tuple(acc))

@@ -4,7 +4,13 @@ import json
 
 import pytest
 
+import qaw.cli
+import qaw.inductor
+import qaw.numeric
+import qaw.structure
 from qaw.cli import main
+from qaw.scalar import tpow
+from test_structure import bumped_family
 
 
 def run(capsys, *argv):
@@ -191,3 +197,40 @@ def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["verify"])
     assert info.value.code == 2
+
+
+def test_corrupted_c3_fails_every_target_that_reads_it(capsys, monkeypatch):
+    # t^5 added to b_3, the C_3 of the recurrence, wherever the targets
+    # build the counterexample family
+    fam = bumped_family(tpow(5))
+    for module in (qaw.cli, qaw.inductor, qaw.numeric, qaw.structure):
+        monkeypatch.setattr(module, "counterexample_family", lambda: fam)
+    for argv, check in (
+        (("proposition", "--n-max", "6"), "dq-relation"),
+        (("oracle", "--n-max", "5"), "oracle"),
+        (("numeric", "--n-max", "6"), "numeric"),
+    ):
+        code, out, err = run(capsys, "verify", *argv, "--format", "json")
+        assert code == 1, argv
+        assert "Traceback" not in err
+        recs = json_lines(out)
+        assert any(r["check"] == check and r["status"] == "fail" for r in recs)
+    # `verify proof` reads the closed forms of B_n and C_n, and of the
+    # family only p_0, which no C_n enters: it cannot see this fault
+    assert run(capsys, "verify", "proof")[0] == 0
+
+
+def test_shifted_float_lattice_fails_numeric(capsys, monkeypatch):
+    # a relative 1e-6 error in both lattice points, far above rel_tol
+    pair = qaw.numeric._lattice_pair
+
+    def shifted(q0, x0):
+        xp, xm = pair(q0, x0)
+        return xp * (1 + 1e-6), xm * (1 + 1e-6)
+
+    monkeypatch.setattr(qaw.numeric, "_lattice_pair", shifted)
+    code, out, err = run(capsys, "verify", "numeric", "--format", "json")
+    assert code == 1
+    assert "Traceback" not in err
+    (rec,) = json_lines(out)
+    assert rec["status"] == "fail" and rec["max_rel_dev"] > 1e-9

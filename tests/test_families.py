@@ -123,7 +123,7 @@ def test_aw_hyp_poly_guards():
         aw_hyp_poly(-1, ONE, ONE, T, ZERO, tpow(2))
     with pytest.raises(ValueError):
         aw_hyp_poly(2, ZERO, ONE, T, ZERO, tpow(2))
-    # ab = 1 kills the (ab; q)_n prefactor at n >= 1
+    # ab = 1 zeroes the denominator factor 1 - ab q^0 of the 4phi3 sum
     with pytest.raises(ValueError):
         aw_hyp_poly(2, tpow(2), tpow(-2), T, ZERO, tpow(4))
 

@@ -5,8 +5,9 @@ import random
 import pytest
 
 import qaw.awcore
-from qaw.awcore import dq_apply, sq_apply, u2
-from qaw.families import counterexample_family
+from qaw import structure
+from qaw.awcore import OperatorContext, dq_apply, sq_apply, u2
+from qaw.families import OPSFamily, counterexample_family
 from qaw.numeric import (
     NumericConfig,
     eval_poly,
@@ -14,8 +15,10 @@ from qaw.numeric import (
     lattice_sq,
     numeric_crosscheck,
 )
-from qaw.scalar import T, U, rational
+from qaw.scalar import Rat, Scalar, T, U, rational
+from qaw.structure import _operator_xrows, _unpack
 from qaw.zsym import XPoly
+from test_structure import bumped_family
 
 X = XPoly.x()
 
@@ -111,14 +114,67 @@ def test_deviation_growth_stays_tame():
 
 
 def test_crosscheck_stays_on_the_z_side(monkeypatch):
-    def refuse(f):
-        raise AssertionError("x_to_z called")
+    # the exact side is the integer kernel's z-rows, turned to x there:
+    # neither x_to_z nor the Q(t, u) route of the family cache and awcore
+    def refuse(*args):
+        raise AssertionError("a conversion or the Q(t, u) route was called")
 
-    monkeypatch.setattr(qaw.awcore, "x_to_z", refuse)
-    summary = numeric_crosscheck(NumericConfig(), 3)
+    for module in (qaw.awcore, structure):
+        monkeypatch.setattr(module, "x_to_z", refuse)
+    for module in (qaw.zsym, qaw.families):
+        monkeypatch.setattr(module, "z_to_x", refuse)
+    for cls, name in (
+        (OPSFamily, "poly"),
+        (OPSFamily, "zpoly"),
+        (OperatorContext, "dq_sym"),
+        (OperatorContext, "sq_sym"),
+    ):
+        monkeypatch.setattr(cls, name, refuse)
+    summary = numeric_crosscheck(NumericConfig(), 6)
     assert summary.status == "pass"
 
 
 def test_crosscheck_guards():
     with pytest.raises(ValueError):
         numeric_crosscheck(NumericConfig(), -1)
+
+
+def exact(f):
+    """The XPoly that the kernel's x-rows f stand for."""
+    rows, shift, w, g = f
+    return XPoly(
+        [
+            Scalar.from_terms({(e, 0): c for e, c in _unpack(r, w, g).items()}).scale(
+                Rat(1, 1 << shift)
+            )
+            for r in rows
+        ]
+    )
+
+
+def test_kernel_xrows_are_the_exact_operators():
+    # the slow reference: the recurrence on Q(t, u) and the closed-form
+    # operators of awcore on the x side
+    fam = counterexample_family()
+    polys, sq, dq = _operator_xrows(10, fam)
+    assert len(polys) == 12 and len(sq) == len(dq) == 11
+    for k, f in enumerate(polys):
+        assert exact(f) == fam.poly(k)
+    for n in range(11):
+        p = fam.poly(n)
+        assert exact(sq[n]) == sq_apply(p)
+        assert exact(dq[n]) == u2() * dq_apply(p)
+
+
+def test_tiny_slot_width_gives_the_same_record(monkeypatch):
+    want = numeric_crosscheck(NumericConfig(), 12).record()
+    monkeypatch.setattr(structure, "_SLOT_BITS", 8)
+    # 8-bit slots cannot hold these rows, so the kernel widened
+    assert _operator_xrows(12, counterexample_family())[0][-1][2] > 8
+    assert numeric_crosscheck(NumericConfig(), 12).record() == want
+
+
+def test_non_integral_family_is_refused():
+    with pytest.raises(ValueError):
+        numeric_crosscheck(NumericConfig(), 4, bumped_family(rational(1, 3)))
+
