@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import argparse
 import os
+import platform
 import sys
 
+from . import __version__
 from .awcore import context
 from .families import (
     COUNTEREXAMPLE_PARAMS,
@@ -28,7 +30,7 @@ from .inductor import (
     instantiation_coherence,
 )
 from .numeric import NumericConfig, eval_poly, numeric_crosscheck
-from .scalar import ZERO, tpow
+from .scalar import ZERO, Rat, tpow
 from .structure import bandwidth_scan, expand_in_basis, iter_proposition_reports
 from .textio import format_record, render_scalar
 from .zsym import XPoly
@@ -132,15 +134,32 @@ def _cmd_expand(args) -> int:
     return 0
 
 
+def _member(n: int):
+    if n < 0:
+        raise ValueError("--n must be nonnegative")
+    return counterexample_family().poly(n)
+
+
 def _cmd_show(args) -> int:
-    p = counterexample_family().poly(args.n)
+    p = _member(args.n)
     print(p.to_latex() if args.latex else p.render())
     return 0
 
 
 def _cmd_eval(args) -> int:
-    val = eval_poly(counterexample_family().poly(args.n), args.q, args.x)
-    print(val)
+    print(eval_poly(_member(args.n), args.q, args.x))
+    return 0
+
+
+def _cmd_info(args) -> int:
+    rec = {
+        "backend": "%s.%s" % (Rat.__module__, Rat.__qualname__),
+        "qaw": __version__,
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+    }
+    _emit(rec, args.format)
     return 0
 
 
@@ -215,6 +234,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--x", type=float, required=True)
     p.set_defaults(func=_cmd_eval)
+
+    p = sub.add_parser("info", help="print the backend, version and machine")
+    p.add_argument("--format", choices=("json", "text"), default="text")
+    p.set_defaults(func=_cmd_info)
 
     return parser
 

@@ -12,10 +12,9 @@ in the basis, and compares coefficient by coefficient.  The D_q
 relation has bandwidth (2, 1): offsets -2 .. +1, with the -2 entry
 provably nonzero from n = 2 on, which is the whole point of the family.
 
-Expansion works by leading-term elimination against the basis, on the
-z side.  The private generator `_expansions` yields both expansions at
-every n, and every relation entry point reads them from it.  It has two
-routes:
+Expansion writes a z-side Laurent polynomial in the basis.  The private
+generator `_expansions` yields both expansions at every n, and every
+relation entry point reads them from it.  It has two routes:
 
 - The integer route runs over Z[t^+-][z^+-] whenever the family's
   2 a_n and 4 b_n are integral, u-free Laurent polynomials in t, as
@@ -31,8 +30,14 @@ routes:
 
   The second holds because U_2's z-form carries the D_q denominator
   (t^2 - t^-2)(z - z^-1)/2, so the multiplier of D_q is fixed to U_2.
-  Q_k is monic in z, so eliminating against it gives integer Laurent
-  polynomials E_k in t.  Only the few nonzero E_k become Scalars,
+  Q_k is monic in z, so G = sum E_k Q_k is solved by back-substitution:
+  row m of G is E_m + sum_{k > m} E_k Q_k[m], and
+
+      E_m = G[m] - sum_{k > m, E_k != 0} E_k Q_k[m],
+
+  from the top row down to m = 0, each row one `_lincomb`.  Every row
+  is formed exactly and tested for zero, and the E_k are integer
+  Laurent polynomials in t.  Only the few nonzero E_k become Scalars,
   scaled by 2^(k-n-1) and 2^(k-n-3) respectively.  Everything here is
   symmetric under z -> z^-1, so only the z^m rows with m >= 0 are kept.
 
@@ -49,15 +54,17 @@ routes:
   * Bounds.  Every row is built by `_lincomb` as a sum of small known
     polynomials e (2 a_m, 4 b_m, t^2 - t^-2 and shifts, E_k) times rows,
     term by term as P += (c P_row) << (slots * w), and gets the bound
-    B = sum ||e||_1 B_row.  No row is kept, unpacked or tested for zero
-    unless B < 2^(w-1).
+    B = sum ||e||_1 B_row.  Nearly every c is +-2^j, and such a term is
+    the same integer as P +-= P_row << (slots * w + j), one shift and
+    one add or subtract.  No row is kept, unpacked or tested for zero
+    unless B < 2^(w-1).  A back-substituted row E_m has the bound
+    B(G[m]) + sum ||E_k||_1 B(Q_k[m]).
   * Widening.  When a bound would reach 2^(w-1), the step in progress
     is abandoned, every stored Q_k is rebuilt from the recurrence at
     width 2w, in the same list, and the step is redone.  The bounds do
     not depend on w, so the rebuild fits.  Rows never wrap, and the
     sweep never refuses a family for its coefficient size.  The only
-    row the sweep ever unpacks is each E_k, the top row of an
-    elimination remainder.
+    rows the sweep ever unpacks are the nonzero E_k.
   * Stride.  g = 2 when every exponent of every 2 a_m is odd and every
     exponent of 4 b_m is even, else 1.  Under that rule row m of Q_n
     has only exponents = n + m (mod 2), by induction on the recurrence:
@@ -75,7 +82,8 @@ routes:
     c / 2^shift times q0^(e/4).
 - Other families fall back to Q(t, u), through the exact operator
   pipeline of `awcore` on the family's cached z-forms Z_k.  Z_k has top
-  coefficient 2^-k, so each elimination step is one scaled subtraction.
+  coefficient 2^-k, so each step of the leading-term elimination is one
+  scaled subtraction.
   `expand_in_basis` runs that elimination on x_to_z(f).
 """
 
@@ -308,7 +316,8 @@ def _unpack(row: Row, w: int, g: int) -> dict[int, int]:
 def _lincomb(terms: list[tuple[dict[int, int], Row]], w: int, g: int) -> Row:
     """The sum of e * row over the (e, row) pairs, each e a small {t-exp: int}.
 
-    Term by term, acc += (c P) << (slots * w), with the bound
+    Term by term, acc += (c P) << (slots * w), or the equal
+    acc +-= P << (slots * w + j) when c = +-2^j, with the bound
     sum ||e||_1 B.  Raises _Widen when that bound reaches 2^(w - 1), and
     ArithmeticError when two terms' exponents are not congruent mod g.
     """
@@ -325,7 +334,13 @@ def _lincomb(terms: list[tuple[dict[int, int], Row]], w: int, g: int) -> Row:
             s, off = divmod(o + x - lo, g)
             if off:
                 raise ArithmeticError("t^%d is off the stride %d" % (o + x, g))
-            acc += (c * p) << (s * w)
+            j = c.bit_length() - 1
+            if c == 1 << j:
+                acc += p << (s * w + j)
+            elif c == -1 << j:
+                acc -= p << (s * w + j)
+            else:
+                acc += (c * p) << (s * w)
     return (acc, lo, b) if acc else _ZERO_ROW
 
 
@@ -403,24 +418,20 @@ def _dq_rows(q: list[Row], w: int, g: int) -> dict[int, Row]:
 def _expand_int(
     work: dict[int, Row], qs: list[list[Row]], w: int, g: int
 ) -> dict[int, dict[int, int]]:
-    """{k: E_k} with work = sum E_k Q_k, nonzero only; consumes work.
+    """{k: E_k} with work = sum E_k Q_k, nonzero only.
 
-    work and every Q_k are symmetric under z -> z^-1, hence so is every
-    remainder, and only the z^m, m >= 0, rows are kept.  Q_k is monic in
-    z, so E_k is the remainder's top row, the only row ever unpacked, and
-    subtracting E_k Q_k cancels it exactly.
+    work and every Q_k are symmetric under z -> z^-1, so only the z^m,
+    m >= 0, rows are read.  Q_k is monic in z, so row m of the sum is
+    E_m + sum_{k > m} E_k Q_k[m], and E_m is solved from it top down.
     """
     out: dict[int, dict[int, int]] = {}
-    while work:
-        k = max(work)
-        e = out[k] = _unpack(work.pop(k), w, g)
-        ne = {x: -c for x, c in e.items()}
-        for m, r in enumerate(qs[k][:k]):
-            s = _lincomb([(_ONE_T, work.get(m, _ZERO_ROW)), (ne, r)], w, g)
-            if s[0]:
-                work[m] = s
-            else:
-                work.pop(m, None)
+    subs: list[tuple[dict[int, int], list[Row]]] = []
+    for m in range(max(work, default=-1), -1, -1):
+        terms = [(ne, q[m]) for ne, q in subs]
+        e = _lincomb([(_ONE_T, work.get(m, _ZERO_ROW)), *terms], w, g)
+        if e[0]:
+            out[m] = _unpack(e, w, g)
+            subs.append(({x: -c for x, c in out[m].items()}, qs[m]))
     return out
 
 

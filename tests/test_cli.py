@@ -1,15 +1,18 @@
 """The command-line surface: records, formats, exit codes."""
 
 import json
+import os
+import platform
 
 import pytest
 
+import qaw
 import qaw.cli
 import qaw.inductor
 import qaw.numeric
 import qaw.structure
 from qaw.cli import main
-from qaw.scalar import tpow
+from qaw.scalar import Rat, tpow
 from test_structure import bumped_family
 
 
@@ -45,6 +48,33 @@ def test_eval_bad_q(capsys):
     code, _, err = run(capsys, "eval", "--n", "1", "--q", "1.5", "--x", "2.0")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["show", "--n", "-1"], ["eval", "--n", "-1", "--q", "0.5", "--x", "1.5"]]
+)
+def test_negative_n_is_refused(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --n must be nonnegative\n"
+
+
+def test_info(capsys):
+    code, out, _ = run(capsys, "info", "--format", "json")
+    assert code == 0
+    (rec,) = json_lines(out)
+    assert rec == {
+        "backend": "%s.%s" % (Rat.__module__, Rat.__qualname__),
+        "qaw": qaw.__version__,
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+    }
+    assert rec["backend"] in ("fractions.Fraction", "gmpy2.mpq")
+    code, text, _ = run(capsys, "info")
+    assert code == 0
+    assert text.startswith("backend=%s qaw=%s " % (rec["backend"], rec["qaw"]))
 
 
 def test_verify_proposition_base_case(capsys):

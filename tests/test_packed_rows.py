@@ -3,6 +3,7 @@
 Every row operation of `structure` is one `_lincomb`: a sum of small
 integer t-polynomials times packed rows.  Hypothesis draws integer
 Laurent polynomials with small and large coefficients of both signs,
+signed powers of two up to 2^90 among them (`_lincomb`'s shift path),
 packs them at a slot width just wide enough or wider, and checks add,
 sub, shift, small products and unpacking against `_padd`, `_psub` and
 `_pmul`, at both strides.  Where the tracked bound reaches 2^(w - 1) the
@@ -26,8 +27,13 @@ SETTINGS = hyp.settings(
 
 UNIT = (1, 0, 1)  # the row of the constant polynomial 1
 ONE, MINUS = {0: 1}, {0: -1}
+# +-2^j takes _lincomb's shift path; j up to 90 reaches past one slot
+POW2 = st.builds(lambda j, s: s << j, st.integers(0, 90), st.sampled_from([1, -1]))
 COEFFS = st.one_of(
-    st.integers(-3, 3), st.integers(-(2**90), 2**90), st.sampled_from([127, -128])
+    st.integers(-3, 3),
+    st.integers(-(2**90), 2**90),
+    st.sampled_from([127, -128]),
+    POW2,
 ).filter(bool)
 
 

@@ -15,6 +15,8 @@ from qaw.families import (
 )
 from qaw.scalar import ONE, Scalar, ZERO, rational, tpow
 from qaw.structure import (
+    _Widen,
+    _expand_int,
     _expand_sym,
     _expected_dq,
     _expected_sq,
@@ -22,6 +24,7 @@ from qaw.structure import (
     _lincomb,
     _stride,
     _offsets_report,
+    _zmonic_rows,
     bandwidth_scan,
     expand_in_basis,
     iter_proposition_reports,
@@ -318,6 +321,46 @@ def test_wide_recurrence_coefficient_matches_qtu_route():
         g = ctx.sq_sym(zn) if rep.check == "sq-relation" else u2z * ctx.dq_sym(zn)
         ref = _expand_sym(g, fam)
         assert rep.coefficients == {k - rep.n: v for k, v in ref.items()}
+
+
+# Sparse {k: E_k}: gaps between the indices, k = 0 and the top k = 9,
+# coefficients +-1, +-2^j, +-3 and large.  Every exponent of E_k is
+# k mod 2, so at stride 2 each row of sum E_k Q_k keeps one parity.
+KNOWN_E = {
+    9: {1: 1, -3: -2**5},
+    6: {0: -1, 4: 3, -2: 2**70 + 1},
+    5: {1: -3, 3: 2},
+    2: {2: -(2**64)},
+    0: {0: 2**90, -4: -(3**50), 6: 1},
+}
+
+
+@pytest.mark.parametrize("g", [2, 1])
+def test_expand_int_known_answer(g):
+    params = NEIGHBOURS["1,-1,t|t^2" if g == 2 else "t,t^2,t^3|t^4"][0]
+    rec = _int_recurrence(dual_qhahn_family(FamilyParams(*params)), 10)
+    assert _stride(rec) == g
+    w = 512
+    qs = _zmonic_rows(rec, 10, w, g)
+    work = {
+        m: _lincomb([(e, qs[k][m]) for k, e in KNOWN_E.items() if k >= m], w, g)
+        for m in range(10)
+    }
+    assert _expand_int(work, qs, w, g) == KNOWN_E
+    # row 0 is solved last, with every other E_k subtracted; its bound is
+    # B(work[0]) + sum ||E_k||_1 B(Q_k[0]), and _Widen fires exactly when
+    # that reaches 2^(w - 1)
+    subs = sum(
+        sum(map(abs, e.values())) * qs[k][0][2]
+        for k, e in KNOWN_E.items()
+        if k and qs[k][0][0]
+    )
+    p, o, _ = work[0]
+    work[0] = (p, o, (1 << (w - 1)) - subs - 1)
+    assert _expand_int(work, qs, w, g) == KNOWN_E
+    work[0] = (p, o, (1 << (w - 1)) - subs)
+    with pytest.raises(_Widen):
+        _expand_int(work, qs, w, g)
 
 
 def test_offset_off_the_stride_is_refused(monkeypatch):
