@@ -134,20 +134,18 @@ def _cmd_expand(args) -> int:
     return 0
 
 
-def _member(n: int):
-    if n < 0:
-        raise ValueError("--n must be nonnegative")
-    return counterexample_family().poly(n)
-
-
 def _cmd_show(args) -> int:
-    p = _member(args.n)
+    if args.n < 0:
+        raise ValueError("--n must be nonnegative")
+    p = counterexample_family().poly(args.n)
     print(p.to_latex() if args.latex else p.render())
     return 0
 
 
 def _cmd_eval(args) -> int:
-    print(eval_poly(_member(args.n), args.q, args.x))
+    if args.n < 0:
+        raise ValueError("--n must be nonnegative")
+    print(eval_poly(counterexample_family().poly(args.n), args.q, args.x))
     return 0
 
 

@@ -317,9 +317,10 @@ def _lincomb(terms: list[tuple[dict[int, int], Row]], w: int, g: int) -> Row:
     """The sum of e * row over the (e, row) pairs, each e a small {t-exp: int}.
 
     Term by term, acc += (c P) << (slots * w), or the equal
-    acc +-= P << (slots * w + j) when c = +-2^j, with the bound
-    sum ||e||_1 B.  Raises _Widen when that bound reaches 2^(w - 1), and
-    ArithmeticError when two terms' exponents are not congruent mod g.
+    acc +-= P << (slots * w + j) when c = +-2^j (a zero c adds nothing),
+    with the bound sum ||e||_1 B.  Raises _Widen when that bound reaches
+    2^(w - 1), and ArithmeticError when two terms' exponents are not
+    congruent mod g.
     """
     live = [(e, r) for e, r in terms if e and r[0]]
     if not live:
@@ -334,11 +335,10 @@ def _lincomb(terms: list[tuple[dict[int, int], Row]], w: int, g: int) -> Row:
             s, off = divmod(o + x - lo, g)
             if off:
                 raise ArithmeticError("t^%d is off the stride %d" % (o + x, g))
-            j = c.bit_length() - 1
-            if c == 1 << j:
-                acc += p << (s * w + j)
-            elif c == -1 << j:
-                acc -= p << (s * w + j)
+            if c > 0 and not c & (c - 1):
+                acc += p << (s * w + c.bit_length() - 1)
+            elif c < 0 and not -c & (-c - 1):
+                acc -= p << (s * w + c.bit_length() - 1)
             else:
                 acc += (c * p) << (s * w)
     return (acc, lo, b) if acc else _ZERO_ROW

@@ -114,3 +114,10 @@ def test_widen_is_asked_at_the_bound():
         _lincomb([(ONE, row), (ONE, UNIT)], 8, 1)
     with pytest.raises(_Widen):
         _lincomb([({0: -128}, UNIT)], 8, 1)
+
+
+def test_zero_coefficient_adds_nothing():
+    row = _lincomb([({0: 3, 2: -8}, UNIT)], 16, 2)
+    for e in ({0: 0}, {0: 0, 2: 1}, {-2: 0, 2: -4}):
+        want = _pmul({x: c for x, c in e.items() if c}, {0: 3, 2: -8})
+        assert _unpack(_lincomb([(e, row)], 16, 2), 16, 2) == want
