@@ -46,14 +46,13 @@ from .structure import (
     verify_proposition,
 )
 from .textio import ParseError, format_record
-from .zsym import AsymmetryError, SymPoly, XPoly, ZLaurent, x_to_z, z_to_x
+from .zsym import XPoly, ZLaurent, x_to_z, z_to_x
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ALPHA",
     "ALPHA2M1",
-    "AsymmetryError",
     "BandwidthSummary",
     "COUNTEREXAMPLE_PARAMS",
     "CoeffSuite",
@@ -67,7 +66,6 @@ __all__ = [
     "ParseError",
     "Scalar",
     "StructureReport",
-    "SymPoly",
     "XPoly",
     "ZLaurent",
     "as_scalar",

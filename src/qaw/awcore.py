@@ -26,7 +26,7 @@ multiplies D_q throughout.
 from __future__ import annotations
 
 from .scalar import Rat, Scalar, tpow, HALF, ONE, ZERO
-from .zsym import SymPoly, XPoly, x_to_z, z_to_x
+from .zsym import XPoly, ZLaurent, x_to_z, z_to_x
 
 
 class OperatorContext:
@@ -44,7 +44,7 @@ class OperatorContext:
         """The fixed quadratic (alpha^2 - 1)(x^2 - 1)."""
         return XPoly((-self.alpha2m1, ZERO, self.alpha2m1))
 
-    def dq_sym(self, f: SymPoly) -> SymPoly:
+    def dq_sym(self, f: ZLaurent) -> ZLaurent:
         # the z^j coefficient, j >= 0, is the sum of 2 [m] f_m over
         # m = j+1, j+3, ...: a suffix sum by parity from the top down
         out: dict[int, Scalar] = {}
@@ -59,9 +59,9 @@ class OperatorContext:
             s = acc[m & 1]
             if s:
                 out[m - 1] = out[1 - m] = s
-        return SymPoly._raw(out)
+        return ZLaurent._raw(out)
 
-    def sq_sym(self, f: SymPoly) -> SymPoly:
+    def sq_sym(self, f: ZLaurent) -> ZLaurent:
         out: dict[int, Scalar] = {}
         for m, c in f.terms():
             if m > 0:
@@ -69,7 +69,7 @@ class OperatorContext:
                 out[m] = out[-m] = c * w
             elif m == 0:
                 out[0] = c
-        return SymPoly._raw(out)
+        return ZLaurent._raw(out)
 
     def dq(self, f: XPoly) -> XPoly:
         """Apply D_q; the degree drops by exactly one."""

@@ -31,7 +31,14 @@ from .inductor import (
 )
 from .numeric import NumericConfig, eval_poly, numeric_crosscheck
 from .scalar import ZERO, Rat, tpow
-from .structure import bandwidth_scan, expand_in_basis, iter_proposition_reports
+from .structure import (
+    _operator_xrows,
+    _xrow_floats,
+    _xrow_poly,
+    bandwidth_scan,
+    expand_in_basis,
+    iter_proposition_reports,
+)
 from .textio import format_record, render_scalar
 from .zsym import XPoly
 
@@ -137,7 +144,7 @@ def _cmd_expand(args) -> int:
 def _cmd_show(args) -> int:
     if args.n < 0:
         raise ValueError("--n must be nonnegative")
-    p = counterexample_family().poly(args.n)
+    p = _xrow_poly(_operator_xrows(args.n, counterexample_family())[0][args.n])
     print(p.to_latex() if args.latex else p.render())
     return 0
 
@@ -145,7 +152,10 @@ def _cmd_show(args) -> int:
 def _cmd_eval(args) -> int:
     if args.n < 0:
         raise ValueError("--n must be nonnegative")
-    print(eval_poly(counterexample_family().poly(args.n), args.q, args.x))
+    if not 0.0 < args.q < 1.0:
+        raise ValueError("--q must lie strictly between 0 and 1")
+    rows = _operator_xrows(args.n, counterexample_family())[0][args.n]
+    print(eval_poly(_xrow_floats(rows, args.q), args.q, args.x))
     return 0
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .scalar import Rat, Scalar, tpow, upow, rational, HALF, ONE, T, U, ZERO
-from .zsym import SymPoly, XPoly, z_to_x
+from .zsym import XPoly, ZLaurent, z_to_x
 
 _ALPHA = (tpow(2) + tpow(-2)) * HALF
 _QUARTER = rational(1, 4)
@@ -58,13 +58,13 @@ class OPSFamily:
         self.rec_b = rec_b
         self.name = name
         self._lock = threading.Lock()
-        self._zs: list[SymPoly] = [SymPoly({0: ONE})]
+        self._zs: list[ZLaurent] = [ZLaurent({0: ONE})]
 
     def poly(self, n: int) -> XPoly:
         """The monic p_n; p_n = 0 for negative n."""
         return z_to_x(self.zpoly(n))
 
-    def zpoly(self, n: int) -> SymPoly:
+    def zpoly(self, n: int) -> ZLaurent:
         """p_n((z + z^-1)/2) as a symmetric Laurent polynomial.
 
         The recurrence runs on the z^k, k >= 0, half and the result is
@@ -73,7 +73,7 @@ class OPSFamily:
         is (f_(k-1) + f_(k+1))/2, and f_-1 = f_1 at k = 0.
         """
         if n < 0:
-            return SymPoly()
+            return ZLaurent()
         with self._lock:
             zs = self._zs
             while len(zs) <= n:
@@ -88,7 +88,7 @@ class OPSFamily:
                     v = v - a * cur.get(k, ZERO) - b * prev.get(k, ZERO)
                     if v:
                         out[k] = out[-k] = v
-                zs.append(SymPoly._raw(out))
+                zs.append(ZLaurent._raw(out))
             return zs[n]
 
 
@@ -315,8 +315,8 @@ def aw_hyp_poly(
     for j in range(n - 1, -1, -1):
         suffix[j] = dens[j] * suffix[j + 1]
 
-    total = SymPoly()
-    zprod = SymPoly({0: ONE})
+    total = ZLaurent()
+    zprod = ZLaurent({0: ONE})
     numk = ONE
     qk = ONE
     for k in range(n + 1):
@@ -325,7 +325,7 @@ def aw_hyp_poly(
             break
         numk = numk * (ONE - qmn * qk) * (ONE - big * qk) * q
         g = a * qk
-        zprod = zprod * SymPoly({1: -g, -1: -g, 0: ONE + g * g})
+        zprod = zprod * ZLaurent({1: -g, -1: -g, 0: ONE + g * g})
         qk = qk * q
 
     f = z_to_x(total)

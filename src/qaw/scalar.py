@@ -491,13 +491,6 @@ class Scalar:
             return ZERO
         return Scalar(_pscale(self._num, c), self._den, _canonical=True)
 
-    def mul_tpow(self, e: int) -> "Scalar":
-        """Multiply by t^e."""
-        if not e or not self._num:
-            return self
-        dk = e << _SHIFT
-        return Scalar._make(_pshift(self._num, dk), dict(self._den), skip_division=True)
-
     # -- the two substitutions ---------------------------------------------
 
     def shift_n(self, k: int) -> "Scalar":

@@ -109,9 +109,10 @@ from .scalar import (
     ZERO,
     _padd,
     _pmul,
+    _psub,
     tpow,
 )
-from .zsym import SymPoly, XPoly, _e_table, x_to_z
+from .zsym import XPoly, ZLaurent, _e_table, x_to_z
 
 
 @dataclass
@@ -154,7 +155,7 @@ def expand_in_basis(f: XPoly, fam: OPSFamily) -> list[Scalar]:
     return [ex.get(k, ZERO) for k in range(f.degree + 1)]
 
 
-def _expand_sym(g: SymPoly, fam: OPSFamily) -> dict[int, Scalar]:
+def _expand_sym(g: ZLaurent, fam: OPSFamily) -> dict[int, Scalar]:
     """{k: e_k} with g = sum e_k zpoly(k), nonzero only.
 
     g and every Z_k are symmetric under z -> z^-1, so, as in
@@ -166,15 +167,8 @@ def _expand_sym(g: SymPoly, fam: OPSFamily) -> dict[int, Scalar]:
         k = max(work)
         # Z_k is monic over x, so its z^k coefficient is 2^-k
         e = out[k] = work.pop(k).scale(1 << k)
-        for m, v in fam.zpoly(k)._t.items():
-            if 0 <= m < k:
-                s = work.get(m)
-                w = e * v
-                s = -w if s is None else s - w
-                if s:
-                    work[m] = s
-                else:
-                    work.pop(m, None)
+        zk = fam.zpoly(k)._t
+        work = _psub(work, {m: e * v for m, v in zk.items() if 0 <= m < k})
     return out
 
 
@@ -214,7 +208,7 @@ def structure_relation(
         raise ValueError("the relation is implemented for pi = U_2 only")
     for _, _, dq in _expansions(n, fam, ctx):  # the last is U_2 D_q P_n
         pass
-    return _offsets_report("structure", n, dq, expected)
+    return _offsets_report("dq-relation", n, dq, expected)
 
 
 def _expected_sq(n: int) -> dict[int, Scalar]:
@@ -435,14 +429,16 @@ def _expand_int(
     return out
 
 
+def _int_scalar(e: dict[int, int], shift: int) -> Scalar:
+    """The Scalar e / 2^shift of an integer {t-exp: int}."""
+    return Scalar.from_terms({(i, 0): c for i, c in e.items()}).scale(
+        Rat(1, 1 << shift)
+    )
+
+
 def _scaled_scalars(ex: dict[int, dict], top: int) -> dict[int, Scalar]:
     """{k: E_k * 2^(k - top)} as Scalars."""
-    return {
-        k: Scalar.from_terms({(i, 0): c for i, c in e.items()}).scale(
-            Rat(1, 1 << (top - k))
-        )
-        for k, e in ex.items()
-    }
+    return {k: _int_scalar(e, top - k) for k, e in ex.items()}
 
 
 def _expansions(
@@ -546,6 +542,12 @@ def _xrow_floats(f: XRows, q0: float) -> list[float]:
     ]
 
 
+def _xrow_poly(f: XRows) -> XPoly:
+    """The exact x-form of f, each row's digits over 2^shift."""
+    rows, shift, w, g = f
+    return XPoly(_int_scalar(_unpack(r, w, g), shift) for r in rows)
+
+
 def iter_proposition_reports(
     nmax: int,
     fam: OPSFamily | None = None,
@@ -612,7 +614,7 @@ def bandwidth_scan(
         raise ValueError("bandwidth scan wants nmax >= 2")
     if reports is None:
         reports = iter_proposition_reports(nmax, fam)
-    by_n = {r.n: r for r in reports if r.check in ("dq-relation", "structure")}
+    by_n = {r.n: r for r in reports if r.check == "dq-relation"}
     rows = []
     max_r = max_s = 0
     all_nonzero = True

@@ -4,13 +4,13 @@ The substitution x = (z + z^-1)/2 identifies polynomials in x with
 symmetric Laurent polynomials in z.  The divided-difference operators of
 `awcore` act on the z-side, where the half-step shift in the underlying
 lattice variable becomes the clean rescaling z -> t^(+-2) z; this module
-supplies the three types that pipeline needs:
+supplies the two types that pipeline needs:
 
     XPoly     polynomial in x, dense coefficient tuple
     ZLaurent  Laurent polynomial in z, sparse
-    SymPoly   ZLaurent invariant under z -> z^-1 (checked on build)
 
-plus the two exact conversions between XPoly and SymPoly.
+plus the two exact conversions between XPoly and the ZLaurents that are
+symmetric under z -> z^-1.
 """
 
 from __future__ import annotations
@@ -23,10 +23,6 @@ from .scalar import ExactDivisionError, Rat, Scalar, as_scalar, ZERO, ONE
 from .scalar import _padd, _pmul, _psub
 
 NEG_INF = -_INF
-
-
-class AsymmetryError(ValueError):
-    """A Laurent polynomial expected to be symmetric in z -> z^-1 is not."""
 
 
 def _as_xpoly(v):
@@ -205,7 +201,11 @@ class XPoly:
 
 
 class ZLaurent:
-    """A Laurent polynomial in z with Scalar coefficients, kept sparse."""
+    """A Laurent polynomial in z with Scalar coefficients, kept sparse.
+
+    Every z-form that the operators and families build is symmetric
+    under z -> z^-1; `z_to_x` checks that and refuses any other.
+    """
 
     __slots__ = ("_t",)
 
@@ -223,19 +223,11 @@ class ZLaurent:
                     t.pop(m, None)
         self._t = t
 
-    @classmethod
-    def _raw(cls, t: dict):
-        p = cls.__new__(cls)
+    @staticmethod
+    def _raw(t: dict) -> "ZLaurent":
+        p = ZLaurent.__new__(ZLaurent)
         p._t = t
         return p
-
-    @classmethod
-    def zero(cls):
-        return cls._raw({})
-
-    @classmethod
-    def one(cls):
-        return cls._raw({0: ONE})
 
     # -- queries -----------------------------------------------------------
 
@@ -269,56 +261,40 @@ class ZLaurent:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _wrap(self, other, t: dict):
-        if isinstance(self, SymPoly) and isinstance(other, SymPoly):
-            return SymPoly._raw(t)
-        return ZLaurent._raw(t)
+    def __neg__(self) -> "ZLaurent":
+        return ZLaurent._raw({m: -c for m, c in self._t.items()})
 
-    def __neg__(self):
-        return type(self)._raw({m: -c for m, c in self._t.items()})
-
-    def __add__(self, other):
+    def __add__(self, other) -> "ZLaurent":
         if not isinstance(other, ZLaurent):
             return NotImplemented
-        return self._wrap(other, _padd(self._t, other._t))
+        return ZLaurent._raw(_padd(self._t, other._t))
 
-    def __sub__(self, other):
+    def __sub__(self, other) -> "ZLaurent":
         if not isinstance(other, ZLaurent):
             return NotImplemented
-        return self._wrap(other, _psub(self._t, other._t))
+        return ZLaurent._raw(_psub(self._t, other._t))
 
-    def __mul__(self, other):
+    def __mul__(self, other) -> "ZLaurent":
         if not isinstance(other, ZLaurent):
             return NotImplemented
-        return self._wrap(other, _pmul(self._t, other._t))
+        return ZLaurent._raw(_pmul(self._t, other._t))
 
-    def scale(self, c):
+    def scale(self, c) -> "ZLaurent":
         s = as_scalar(c)
         if s.is_zero:
-            return type(self)._raw({})
-        return type(self)._raw({m: v * s for m, v in self._t.items()})
-
-    def z_scale(self, k: int) -> "ZLaurent":
-        """Rescale z -> t^(2k) z; the coefficient of z^m picks up t^(2km).
-
-        This is the z-side shadow of the half-step lattice shift, which
-        is why the result is generally not symmetric.
-        """
-        if k == 0:
-            return ZLaurent._raw(dict(self._t))
-        return ZLaurent._raw(
-            {m: c.mul_tpow(2 * k * m) for m, c in self._t.items()}
-        )
+            return ZLaurent._raw({})
+        return ZLaurent._raw({m: v * s for m, v in self._t.items()})
 
     def divide_exact(self, den: "ZLaurent") -> "ZLaurent":
         """Exact Laurent division; raises ExactDivisionError on remainder."""
         if not den._t:
             raise ZeroDivisionError("z-side division by zero")
         if not self._t:
-            return ZLaurent.zero()
+            return ZLaurent._raw({})
         num = dict(self._t)
         top = max(den._t)
         lead = den._t[top]
+        rest = [(dm, dc) for dm, dc in den._t.items() if dm != top]
         bound = min(num) - min(den._t)
         quo: dict[int, Scalar] = {}
         while num:
@@ -326,19 +302,8 @@ class ZLaurent:
             e = m - top
             if e < bound:
                 raise ExactDivisionError("z-side division leaves a remainder")
-            c = num.pop(m) / lead
-            quo[e] = c
-            for dm, dc in den._t.items():
-                if dm == top:
-                    continue
-                key = dm + e
-                v = dc * c
-                s = num.get(key)
-                s = -v if s is None else s - v
-                if s:
-                    num[key] = s
-                else:
-                    num.pop(key, None)
+            c = quo[e] = num.pop(m) / lead
+            num = _psub(num, {dm + e: dc * c for dm, dc in rest})
         return ZLaurent._raw(quo)
 
     # -- rendering ---------------------------------------------------------
@@ -352,21 +317,10 @@ class ZLaurent:
         return self.render()
 
     def __repr__(self) -> str:
-        return "%s(%s)" % (type(self).__name__, self.render())
+        return "ZLaurent(%s)" % self.render()
 
 
-class SymPoly(ZLaurent):
-    """A ZLaurent constrained to be symmetric under z -> z^-1."""
-
-    __slots__ = ()
-
-    def __init__(self, terms=None):
-        super().__init__(terms)
-        if not self.is_symmetric():
-            raise AsymmetryError("terms are not symmetric under z -> z^-1")
-
-
-def x_to_z(f: XPoly) -> SymPoly:
+def x_to_z(f: XPoly) -> ZLaurent:
     """Expand f((z + z^-1)/2) as a symmetric Laurent polynomial."""
     out: dict[int, Scalar] = {}
     for k, a in enumerate(f.coeffs()):
@@ -374,7 +328,7 @@ def x_to_z(f: XPoly) -> SymPoly:
             continue
         inv = Rat(1) / (1 << k)
         out = _padd(out, {k - 2 * i: a.scale(comb(k, i) * inv) for i in range(k + 1)})
-    return SymPoly._raw(out)
+    return ZLaurent._raw(out)
 
 
 def _e_table(deg: int) -> list[list[int]]:
@@ -395,10 +349,10 @@ def z_to_x(g: ZLaurent) -> XPoly:
     """Rewrite a symmetric Laurent polynomial as a polynomial in x.
 
     Uses z^m + z^-m = E_m(x) from `_e_table`; asymmetric input signals a
-    bug in the caller and raises AsymmetryError.
+    bug in the caller and raises ValueError.
     """
-    if not isinstance(g, SymPoly) and not g.is_symmetric():
-        raise AsymmetryError("cannot express an asymmetric polynomial in x")
+    if not g.is_symmetric():
+        raise ValueError("cannot express an asymmetric polynomial in x")
     if not g:
         return XPoly.zero()
     deg = g.max_exp

@@ -44,6 +44,23 @@ def test_eval(capsys):
     assert float(out) == 1.0
 
 
+def test_show_and_eval_match_the_recurrence(capsys):
+    fam = qaw.counterexample_family()
+    for n in range(11):
+        p = fam.poly(n)
+        assert run(capsys, "show", "--n", str(n)) == (0, p.render() + "\n", "")
+        assert run(capsys, "show", "--n", str(n), "--latex") == (
+            0, p.to_latex() + "\n", ""
+        )
+        for q0, x0 in ((0.3, 1.5), (0.7, -2.0)):
+            code, out, _ = run(
+                capsys, "eval", "--n", str(n), "--q", str(q0), "--x", str(x0)
+            )
+            assert code == 0
+            want = qaw.eval_poly(p, q0, x0)
+            assert abs(float(out) - want) <= 1e-12 * abs(want)
+
+
 def test_eval_bad_q(capsys):
     code, _, err = run(capsys, "eval", "--n", "1", "--q", "1.5", "--x", "2.0")
     assert code == 2

@@ -211,6 +211,10 @@ def test_bandwidth_scan_reuses_reports():
     # a missing n is an error, not a recomputation
     with pytest.raises(ValueError):
         bandwidth_scan(fam, u2(), 6, reports=[r for r in reports if r.n != 3])
+    # structure_relation reports carry the sweep's D_q label
+    single = [structure_relation(fam, u2(), n) for n in range(2, 7)]
+    assert {r.check for r in single} == {"dq-relation"}
+    assert bandwidth_scan(fam, u2(), 6, reports=single).rows == summary.rows
 
 
 def test_pi_other_than_u2_is_refused():
