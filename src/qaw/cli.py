@@ -32,7 +32,7 @@ from .inductor import (
 from .numeric import NumericConfig, eval_poly, numeric_crosscheck
 from .scalar import ZERO, Rat, tpow
 from .structure import (
-    _operator_xrows,
+    _poly_xrows,
     _xrow_floats,
     _xrow_poly,
     bandwidth_scan,
@@ -144,7 +144,7 @@ def _cmd_expand(args) -> int:
 def _cmd_show(args) -> int:
     if args.n < 0:
         raise ValueError("--n must be nonnegative")
-    p = _xrow_poly(_operator_xrows(args.n, counterexample_family())[0][args.n])
+    p = _xrow_poly(_poly_xrows(args.n, counterexample_family()))
     print(p.to_latex() if args.latex else p.render())
     return 0
 
@@ -154,8 +154,8 @@ def _cmd_eval(args) -> int:
         raise ValueError("--n must be nonnegative")
     if not 0.0 < args.q < 1.0:
         raise ValueError("--q must lie strictly between 0 and 1")
-    rows = _operator_xrows(args.n, counterexample_family())[0][args.n]
-    print(eval_poly(_xrow_floats(rows, args.q), args.q, args.x))
+    (cs,) = _xrow_floats(_poly_xrows(args.n, counterexample_family()), (args.q,))
+    print(eval_poly(cs, args.q, args.x))
     return 0
 
 

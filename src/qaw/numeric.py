@@ -9,10 +9,12 @@ sides.
 
 The exact side is the one that the sweep of `structure` expands: the
 integer kernel's packed rows of Q_k = 2^k p_k, of S_q and of U_2 D_q,
-turned to x there and to floats at q0 straight from their integer
-digits.  So the witness checks the same operator rows that the sweep
-compares against the closed forms, while the float lattice and the
-closed forms stay independent of both.
+turned to x there and to floats straight from their integer digits.
+Each row is unpacked once, on its first use, and turned to floats at
+every q sample of the grid from a table of that q's powers; only the
+floats are kept.  So the witness checks the same operator rows that
+the sweep compares against the closed forms, while the float lattice
+and the closed forms stay independent of both.
 """
 
 from __future__ import annotations
@@ -162,22 +164,30 @@ def numeric_crosscheck(
         elif d > worst:
             worst, worst_at = d, label
 
-    # every exact coefficient is evaluated once per q0, on first use: those
-    # of p_k under the key k, of a weight under (side,), of the n-th
-    # operator sides under (side, part, n); Horner then runs on the floats
+    # every exact coefficient is evaluated once per q0: those of p_k under
+    # the key k, of a weight under (side,), of the n-th operator sides
+    # under (side, part, n); Horner then runs on the floats.  A kernel row
+    # is unpacked once, on first use, and evaluated at every q sample; if
+    # that breaks down, at this q0 alone, so a breakdown is reported at
+    # the q0 where it happens.  Only the floats are kept.
     memo: dict[tuple, list[float]] = {}
 
-    def floats(key, q0: float, make) -> list[float]:
-        cs = memo.get((key, q0))
-        if cs is None:
-            cs = memo[key, q0] = make()
-        return cs
-
     def kernel(key, rows: XRows, q0: float) -> list[float]:
-        return floats(key, q0, lambda: _xrow_floats(rows, q0))
+        if (key, q0) not in memo:
+            qs = cfg.q_samples
+            try:
+                fs = _xrow_floats(rows, qs)
+            except (ZeroDivisionError, OverflowError):
+                qs = (q0,)
+                fs = _xrow_floats(rows, qs)
+            memo.update(((key, q), cs) for q, cs in zip(qs, fs))
+        return memo[key, q0]
 
     def scalars(key, coeffs, q0: float) -> list[float]:
-        return floats(key, q0, lambda: [c.evaluate(q0) for c in coeffs])
+        cs = memo.get((key, q0))
+        if cs is None:
+            cs = memo[key, q0] = [c.evaluate(q0) for c in coeffs]
+        return cs
 
     for n in range(nmax + 1):
         # (name, float operator, its weight, exact left side, closed-form right side)

@@ -77,9 +77,13 @@ relation entry point reads them from it.  It has two routes:
     its exact values: the rows of Q_k, of S_q and of U_2 D_q, turned to
     x by z^m + z^-m = E_m(x), E_{m+1} = 2x E_m - E_{m-1}.  Each
     x-coefficient row is a `_lincomb` of z-rows with the integers of
-    E_m, so it widens the same way.  `_xrow_floats` turns a row into a
-    float at q0 from its digits c, each as the correctly rounded
-    c / 2^shift times q0^(e/4).
+    E_m, so it widens the same way; `_fitted_xforms` runs that loop,
+    and `_poly_xrows` builds p_n's x-form alone for `qaw show`/`eval`.
+    `_unpack` splits a row's biased digits with one memoryview cast at
+    w = 8, 16, 32 and 64, and slot by slot at wider w.  `_xrow_floats`
+    unpacks each row once and turns it into a float at every q0 asked
+    for, each digit c of t^e as the correctly rounded c / 2^shift times
+    q0^(e/4) from a table of q0's powers, summed in slot order.
 - Other families fall back to Q(t, u), through the exact operator
   pipeline of `awcore` on the family's cached z-forms Z_k.  Z_k has top
   coefficient 2^-k, so each step of the leading-term elimination is one
@@ -89,8 +93,10 @@ relation entry point reads them from it.  It has two routes:
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
-from typing import Iterator
+from struct import calcsize
+from typing import Callable, Iterator
 
 from .awcore import OperatorContext, context, u2
 from .families import (
@@ -295,10 +301,27 @@ def _digits(p: int, w: int) -> bytes:
     return (p + int.from_bytes(bias, "little")).to_bytes(len(bias), "little")
 
 
+# memoryview formats that split `_digits` into plain w-bit slots, for the
+# slot widths that are native unsigned sizes on a little-endian machine
+_SLOT_FORMATS = {
+    w: f
+    for w, f in ((8, "B"), (16, "H"), (32, "I"), (64, "Q"))
+    if sys.byteorder == "little" and calcsize(f) * 8 == w
+}
+
+
 def _unpack(row: Row, w: int, g: int) -> dict[int, int]:
-    """{t-exp: int} of a row whose bound is below 2^(w - 1)."""
+    """{t-exp: int} of a row whose bound is below 2^(w - 1).
+
+    The biased digits are split by one memoryview cast where w is a
+    native slot width, and slot by slot otherwise (w = 128 and wider).
+    """
     p, lo, _ = row
     data, wb, half = _digits(p, w), w // 8, 1 << (w - 1)
+    fmt = _SLOT_FORMATS.get(w)
+    if fmt:
+        slots = memoryview(data).cast(fmt)
+        return {lo + g * s: c - half for s, c in enumerate(slots) if c != half}
     out = {}
     for s in range(len(data) // wb):
         c = int.from_bytes(data[s * wb : (s + 1) * wb], "little") - half
@@ -496,50 +519,72 @@ def _x_rows(z: dict[int, Row], es: list[list[int]], w: int, g: int) -> list[Row]
     return [_lincomb(ts, w, g) for ts in terms]
 
 
-def _operator_xrows(
-    nmax: int, fam: OPSFamily
-) -> tuple[list[XRows], list[XRows], list[XRows]]:
-    """x-forms of p_0 .. p_(nmax+1), and of S_q p_n and U_2 D_q p_n, n <= nmax.
+def _fitted_xforms(count: int, fam: OPSFamily, build: Callable):
+    """build(qs, x, w, g) at one slot width that doubles until no bound reaches it.
 
-    All are read from the integer route's rows: Q_k / 2^k, `_sq_rows` of
-    Q_n / 2^(n+1) and `_dq_rows` of Q_n / 2^(n+3), each turned to x by
-    `_x_rows`, at one slot width that doubles until no bound reaches it.
-    ValueError unless the family's 2 a_n and 4 b_n are integral, u-free
-    Laurent polynomials in t.
+    qs holds the integer route's z-rows of Q_0 .. Q_(count-1), and
+    x(z, shift) is the x-form of the z-rows z over 2^shift, by `_x_rows`
+    at the same width.  ValueError unless the family's 2 a_n and 4 b_n
+    are integral, u-free Laurent polynomials in t.
     """
-    rec = _int_recurrence(fam, nmax)
+    rec = _int_recurrence(fam, count - 2)
     if rec is None:
         raise ValueError("the integer kernel needs integral 2 a_n and 4 b_n in t")
     g, w = _stride(rec), _SLOT_BITS
-    es = _e_table(nmax + 1)
+    es = _e_table(count - 1)
 
     def x(z: dict[int, Row], shift: int) -> XRows:
         return _x_rows(z, es, w, g), shift, w, g
 
     while True:
         try:
-            qs = _zmonic_rows(rec, nmax + 2, w, g)
-            return (
-                [x(dict(enumerate(q)), k) for k, q in enumerate(qs)],
-                [x(_sq_rows(qs[n], w, g), n + 1) for n in range(nmax + 1)],
-                [x(_dq_rows(qs[n], w, g), n + 3) for n in range(nmax + 1)],
-            )
+            return build(_zmonic_rows(rec, count, w, g), x, w, g)
         except _Widen:
             w *= 2
 
 
-def _xrow_floats(f: XRows, q0: float) -> list[float]:
-    """The x-coefficients of f at q0, with t = q0^(1/4), from the digits.
+def _poly_xrows(n: int, fam: OPSFamily) -> XRows:
+    """The x-form of p_n alone, Q_n / 2^n; see `_fitted_xforms`."""
+    return _fitted_xforms(n + 1, fam, lambda qs, x, w, g: x(dict(enumerate(qs[n])), n))
 
-    A digit c of t^e adds c / 2^shift, the correctly rounded quotient
-    that float(Fraction(c, 2^shift)) also gives, times q0^(e/4).
+
+def _operator_xrows(
+    nmax: int, fam: OPSFamily
+) -> tuple[list[XRows], list[XRows], list[XRows]]:
+    """x-forms of p_0 .. p_(nmax+1), and of S_q p_n and U_2 D_q p_n, n <= nmax.
+
+    All are read from the integer route's rows by `_fitted_xforms`:
+    Q_k / 2^k, `_sq_rows` of Q_n / 2^(n+1) and `_dq_rows` of
+    Q_n / 2^(n+3), at one slot width.
+    """
+
+    def build(qs, x, w, g):
+        return (
+            [x(dict(enumerate(q)), k) for k, q in enumerate(qs)],
+            [x(_sq_rows(qs[n], w, g), n + 1) for n in range(nmax + 1)],
+            [x(_dq_rows(qs[n], w, g), n + 3) for n in range(nmax + 1)],
+        )
+
+    return _fitted_xforms(nmax + 2, fam, build)
+
+
+def _xrow_floats(f: XRows, q0s: tuple[float, ...]) -> list[list[float]]:
+    """The x-coefficients of f at each q0, with t = q0^(1/4), from the digits.
+
+    Each row is unpacked once.  A digit c of t^e adds c / 2^shift, the
+    correctly rounded quotient that float(Fraction(c, 2^shift)) also
+    gives, times q0^(e/4) from a table of q0's powers; a row's terms are
+    summed in slot order.
     """
     rows, shift, w, g = f
     den = 1 << shift
-    return [
-        sum((c / den * q0 ** (0.25 * e) for e, c in _unpack(r, w, g).items()), 0.0)
-        for r in rows
-    ]
+    digits = [_unpack(r, w, g) for r in rows]
+    exps = set().union(*digits)
+    out = []
+    for q0 in q0s:
+        pw = {e: q0 ** (0.25 * e) for e in exps}
+        out.append([sum([c / den * pw[e] for e, c in d.items()], 0.0) for d in digits])
+    return out
 
 
 def _xrow_poly(f: XRows) -> XPoly:

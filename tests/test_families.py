@@ -166,3 +166,18 @@ def test_custom_family_recurrence():
     # p_{n+1} = x*p_n - p_{n-1} with a_n = 0, b_n = 1
     assert fam.poly(2) == X ** 2 - 1
     assert fam.poly(3) == X ** 3 - X.scale(rational(2))
+
+
+@pytest.mark.parametrize(
+    "params",
+    [COUNTEREXAMPLE_PARAMS, FamilyParams(ONE, T, -T, tpow(2)), GENERIC],
+    ids=["counterexample", "1,t,-t|t^2", "generic"],
+)
+def test_negating_the_parameters_reflects_the_recurrence(params):
+    # (a, b, c) -> (-a, -b, -c) maps a_n to -a_n and keeps b_n, so
+    # p_n(x) -> (-1)^n p_n(-x)
+    fam = dual_qhahn_family(params)
+    neg = dual_qhahn_family(FamilyParams(-params.a, -params.b, -params.c, params.base))
+    for n in range(9):
+        assert neg.rec_a(n) == -fam.rec_a(n)
+        assert neg.rec_b(n) == fam.rec_b(n)

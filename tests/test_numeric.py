@@ -1,6 +1,7 @@
 """Float lattice pipeline against the exact operators."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -16,7 +17,7 @@ from qaw.numeric import (
     numeric_crosscheck,
 )
 from qaw.scalar import Rat, Scalar, T, U, rational
-from qaw.structure import _operator_xrows, _unpack
+from qaw.structure import _operator_xrows, _unpack, _xrow_floats
 from qaw.zsym import XPoly
 from test_structure import bumped_family
 
@@ -164,6 +165,38 @@ def test_kernel_xrows_are_the_exact_operators():
         p = fam.poly(n)
         assert exact(sq[n]) == sq_apply(p)
         assert exact(dq[n]) == u2() * dq_apply(p)
+
+
+def test_xrow_floats_are_the_digit_sums():
+    # every float is the slot-order sum of the correctly rounded digit
+    # quotients times q0^(e/4), at every q0 of one call
+    polys, sq, dq = _operator_xrows(10, counterexample_family())
+    qs = (0.3, 0.7)
+    for rows, shift, w, g in polys + sq + dq:
+        got = _xrow_floats((rows, shift, w, g), qs)
+        for q0, fs in zip(qs, got):
+            want = []
+            for r in rows:
+                digits = sorted(_unpack(r, w, g).items())
+                want.append(
+                    sum(
+                        (
+                            float(Fraction(c, 1 << shift)) * q0 ** (0.25 * e)
+                            for e, c in digits
+                        ),
+                        0.0,
+                    )
+                )
+            assert [f.hex() for f in fs] == [f.hex() for f in want]
+
+
+def test_breakdown_is_named_at_its_q_sample():
+    # rows are evaluated at every q sample on first use; a q0 whose powers
+    # overflow is still the one the failure names
+    cfg = NumericConfig(q_samples=(0.3, 1e-300, 0.7))
+    rec = numeric_crosscheck(cfg, 2).record()
+    assert rec["status"] == "fail"
+    assert "q=1e-300" in rec["worst"]
 
 
 def test_tiny_slot_width_gives_the_same_record(monkeypatch):

@@ -8,6 +8,8 @@ packs them at a slot width just wide enough or wider, and checks add,
 sub, shift, small products and unpacking against `_padd`, `_psub` and
 `_pmul`, at both strides.  Where the tracked bound reaches 2^(w - 1) the
 operation must ask for a wider slot instead of returning a row.
+`_unpack` is checked against the balanced base-2^w digits of P, slot by
+slot, at every slot width it splits by a cast and at one it does not.
 """
 
 import pytest
@@ -15,6 +17,7 @@ import pytest
 hyp = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
+from qaw import structure  # noqa: E402
 from qaw.scalar import _padd, _pmul, _psub  # noqa: E402
 from qaw.structure import _Widen, _lincomb, _unpack  # noqa: E402
 
@@ -121,3 +124,57 @@ def test_zero_coefficient_adds_nothing():
     for e in ({0: 0}, {0: 0, 2: 1}, {-2: 0, 2: -4}):
         want = _pmul({x: c for x, c in e.items() if c}, {0: 3, 2: -8})
         assert _unpack(_lincomb([(e, row)], 16, 2), 16, 2) == want
+
+
+def balanced_digits(p, lo, w, g):
+    """{t-exp: c} of P read slot by slot as balanced base-2^w digits."""
+    out, s = {}, 0
+    while p:
+        c = p & ((1 << w) - 1)
+        if c >> (w - 1):
+            c -= 1 << w
+        p = (p - c) >> w
+        if c:
+            out[lo + g * s] = c
+        s += 1
+    return out
+
+
+def packed(digits, lo, w):
+    """The row (P, lo, B) of a digit list, lowest slot first."""
+    p = sum(c << (w * s) for s, c in enumerate(digits))
+    return p, lo, max(map(abs, digits), default=0)
+
+
+def unpack_cases(w):
+    top = (1 << (w - 1)) - 1
+    return [
+        [],
+        [1],
+        [-1],
+        [top],
+        [-top],
+        [0, 0, 5],  # zero slots below the first digit
+        [top, 0, -top, 0, 0, 1],  # zero slots inside the row
+        [-top, -top, -top],
+        [3, -2, 0, top, -1],
+        [5, 0, 0, -top],  # a negative top slot
+        [-1, 0, 0, 0],  # zero slots at the top
+        [top, -top] * 9,
+    ]
+
+
+@pytest.mark.parametrize("w", [8, 16, 32, 64, 128])
+@pytest.mark.parametrize("g", [1, 2])
+def test_unpack_is_the_slot_by_slot_definition(w, g, monkeypatch):
+    rows = [packed(digits, -3, w) for digits in unpack_cases(w)]
+    want = [balanced_digits(row[0], -3, w, g) for row in rows]
+    assert want == [
+        {-3 + g * s: c for s, c in enumerate(digits) if c}
+        for digits in unpack_cases(w)
+    ]
+    assert [_unpack(row, w, g) for row in rows] == want
+    # the same digits from the path that reads every slot on its own
+    monkeypatch.setattr(structure, "_SLOT_FORMATS", {})
+    assert [_unpack(row, w, g) for row in rows] == want
+
