@@ -15,7 +15,7 @@ import platform
 import sys
 
 from . import __version__
-from .awcore import context
+from .awcore import u2
 from .families import (
     COUNTEREXAMPLE_PARAMS,
     FamilyParams,
@@ -51,15 +51,14 @@ def _cmd_proposition(args) -> int:
     if args.n_max < 0:
         raise ValueError("--n-max must be nonnegative")
     fam = counterexample_family()
-    ctx = context()
     ok = True
     reports = []
-    for rep in iter_proposition_reports(args.n_max, fam, ctx):
+    for rep in iter_proposition_reports(args.n_max, fam):
         reports.append(rep)
         _emit(rep.record(), args.format)
         ok = ok and rep.status == "pass"
     if args.n_max >= 2:
-        summary = bandwidth_scan(fam, ctx.u2(), args.n_max, reports=reports)
+        summary = bandwidth_scan(fam, u2(), args.n_max, reports=reports)
         _emit(summary.record(), args.format)
         ok = ok and summary.status == "pass"
     return 0 if ok else 1

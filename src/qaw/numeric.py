@@ -26,8 +26,7 @@ from .awcore import u2
 from .families import OPSFamily, counterexample_family
 from .structure import (
     XRows,
-    _expected_dq,
-    _expected_sq,
+    _expected,
     _operator_xrows,
     _xrow_floats,
 )
@@ -192,8 +191,8 @@ def numeric_crosscheck(
     for n in range(nmax + 1):
         # (name, float operator, its weight, exact left side, closed-form right side)
         sides = (
-            ("sq", lattice_sq, XPoly.one(), sq_exact[n], _expected_sq(n)),
-            ("dq", lattice_dq, weight, dq_exact[n], _expected_dq(n)),
+            ("sq", lattice_sq, XPoly.one(), sq_exact[n], _expected("sq-relation", n)),
+            ("dq", lattice_dq, weight, dq_exact[n], _expected("dq-relation", n)),
         )
         for q0 in cfg.q_samples:
             for x0 in cfg.x_samples:

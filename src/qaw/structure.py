@@ -14,81 +14,81 @@ provably nonzero from n = 2 on, which is the whole point of the family.
 
 Expansion writes a z-side Laurent polynomial in the basis.  The private
 generator `_expansions` yields both expansions at every n, and every
-relation entry point reads them from it.  It has two routes:
+relation entry point reads them from it.  It has one route, over
+Z[t^+-][z^+-], and so needs the family's 2 a_n and 4 b_n to be integral,
+u-free Laurent polynomials in t, as they are for the counterexample
+family and for every family that the CLI builds.  Every entry point
+raises ValueError for any other family.  The route uses the z-monic
+basis Q_n = 2^n P_n,
 
-- The integer route runs over Z[t^+-][z^+-] whenever the family's
-  2 a_n and 4 b_n are integral, u-free Laurent polynomials in t, as
-  they are for the counterexample family.  It uses the z-monic basis
-  Q_n = 2^n P_n,
+    Q_{n+1} = (z + z^-1 - 2 a_n) Q_n - 4 b_n Q_{n-1},
 
-      Q_{n+1} = (z + z^-1 - 2 a_n) Q_n - 4 b_n Q_{n-1},
+and the two operators without division,
 
-  and the two operators without division,
+    Q_n(t^2 z) + Q_n(t^-2 z)                          = 2^(n+1) S_q P_n,
+    (t^2 - t^-2)(z - z^-1)(Q_n(t^2 z) - Q_n(t^-2 z))  = 2^(n+3) U_2 D_q P_n.
 
-      Q_n(t^2 z) + Q_n(t^-2 z)                          = 2^(n+1) S_q P_n,
-      (t^2 - t^-2)(z - z^-1)(Q_n(t^2 z) - Q_n(t^-2 z))  = 2^(n+3) U_2 D_q P_n.
+The second holds because U_2's z-form carries the D_q denominator
+(t^2 - t^-2)(z - z^-1)/2, so the multiplier of D_q is fixed to U_2.
+Q_k is monic in z, so G = sum E_k Q_k is solved by back-substitution:
+row m of G is E_m + sum_{k > m} E_k Q_k[m], and
 
-  The second holds because U_2's z-form carries the D_q denominator
-  (t^2 - t^-2)(z - z^-1)/2, so the multiplier of D_q is fixed to U_2.
-  Q_k is monic in z, so G = sum E_k Q_k is solved by back-substitution:
-  row m of G is E_m + sum_{k > m} E_k Q_k[m], and
+    E_m = G[m] - sum_{k > m, E_k != 0} E_k Q_k[m],
 
-      E_m = G[m] - sum_{k > m, E_k != 0} E_k Q_k[m],
+from the top row down to m = 0, each row one `_lincomb`.  Every row
+is formed exactly and tested for zero, and the E_k are integer
+Laurent polynomials in t.  Only the few nonzero E_k become Scalars,
+scaled by 2^(k-n-1) and 2^(k-n-3) respectively.  Everything here is
+symmetric under z -> z^-1, so only the z^m rows with m >= 0 are kept.
 
-  from the top row down to m = 0, each row one `_lincomb`.  Every row
-  is formed exactly and tested for zero, and the E_k are integer
-  Laurent polynomials in t.  Only the few nonzero E_k become Scalars,
-  scaled by 2^(k-n-1) and 2^(k-n-3) respectively.  Everything here is
-  symmetric under z -> z^-1, so only the z^m rows with m >= 0 are kept.
+Each row, an integer Laurent polynomial in t, is one Python int
+(Kronecker substitution; D. Harvey, J. Symb. Comput. 44 (2009)).  A
+row (P, o, B) stands for t^o f(t^g), where P = f(2^w) for a slot
+width w common to the whole sweep and B >= max |coeff f|:
 
-  Each row, an integer Laurent polynomial in t, is one Python int
-  (Kronecker substitution; D. Harvey, J. Symb. Comput. 44 (2009)).  A
-  row (P, o, B) stands for t^o f(t^g), where P = f(2^w) for a slot
-  width w common to the whole sweep and B >= max |coeff f|:
+* Injectivity.  f -> f(2^w) is a ring homomorphism Z[t] -> Z, and it
+  is injective on polynomials with |c| < 2^(w-1): such an f is
+  recovered from P as its balanced base-2^w digits, and is zero
+  exactly when P is.  Sums, shifts and products therefore act on P
+  directly, with no carries to propagate.
+* Bounds.  Every row is built by `_lincomb` as a sum of small known
+  polynomials e (2 a_m, 4 b_m, t^2 - t^-2 and shifts, E_k) times rows,
+  term by term as P += (c P_row) << (slots * w), and gets the bound
+  B = sum ||e||_1 B_row.  Nearly every c is +-2^j, and such a term is
+  the same integer as P +-= P_row << (slots * w + j), one shift and
+  one add or subtract.  No row is kept, unpacked or tested for zero
+  unless B < 2^(w-1).  A back-substituted row E_m has the bound
+  B(G[m]) + sum ||E_k||_1 B(Q_k[m]).
+* Widening.  When a bound would reach 2^(w-1), the step in progress
+  is abandoned, every stored Q_k is rebuilt from the recurrence at
+  width 2w, in the same list, and the step is redone; `_Kernel` owns
+  the rows and this loop.  The bounds do not depend on w, so the
+  rebuild fits.  Rows never wrap, and the sweep never refuses a family
+  for its coefficient size.  The only rows the sweep ever unpacks are
+  the nonzero E_k.
+* Stride.  g = 2 when every exponent of every 2 a_m is odd and every
+  exponent of 4 b_m is even, else 1.  Under that rule row m of Q_n
+  has only exponents = n + m (mod 2), by induction on the recurrence:
+  z^(+-1) Q_n moves row m +- 1 to row m, 2 a_n adds an odd exponent,
+  4 b_n Q_{n-1} an even one.  The operators and the elimination keep a
+  common parity per row in the same way, so half the slots would be
+  zeros at g = 1.  The congruence of the offsets is checked on every
+  sum rather than assumed, and a violation raises ArithmeticError.
+* x-forms.  `_operator_xrows` gives the float witness of `numeric`
+  its exact values: the rows of Q_k, of S_q and of U_2 D_q, turned to
+  x by z^m + z^-m = E_m(x), E_{m+1} = 2x E_m - E_{m-1}.  Each
+  x-coefficient row is a `_lincomb` of z-rows with the integers of
+  E_m, so it widens the same way, in `_fitted_xforms`, and
+  `_poly_xrows` builds p_n's x-form alone for `qaw show`/`eval`.
+  `_unpack` splits a row's biased digits with one memoryview cast at
+  w = 8, 16, 32 and 64, and slot by slot at wider w.  `_xrow_floats`
+  unpacks each row once and turns it into a float at every q0 asked
+  for, each digit c of t^e as the correctly rounded c / 2^shift times
+  q0^(e/4) from a table of q0's powers, summed in slot order.
 
-  * Injectivity.  f -> f(2^w) is a ring homomorphism Z[t] -> Z, and it
-    is injective on polynomials with |c| < 2^(w-1): such an f is
-    recovered from P as its balanced base-2^w digits, and is zero
-    exactly when P is.  Sums, shifts and products therefore act on P
-    directly, with no carries to propagate.
-  * Bounds.  Every row is built by `_lincomb` as a sum of small known
-    polynomials e (2 a_m, 4 b_m, t^2 - t^-2 and shifts, E_k) times rows,
-    term by term as P += (c P_row) << (slots * w), and gets the bound
-    B = sum ||e||_1 B_row.  Nearly every c is +-2^j, and such a term is
-    the same integer as P +-= P_row << (slots * w + j), one shift and
-    one add or subtract.  No row is kept, unpacked or tested for zero
-    unless B < 2^(w-1).  A back-substituted row E_m has the bound
-    B(G[m]) + sum ||E_k||_1 B(Q_k[m]).
-  * Widening.  When a bound would reach 2^(w-1), the step in progress
-    is abandoned, every stored Q_k is rebuilt from the recurrence at
-    width 2w, in the same list, and the step is redone.  The bounds do
-    not depend on w, so the rebuild fits.  Rows never wrap, and the
-    sweep never refuses a family for its coefficient size.  The only
-    rows the sweep ever unpacks are the nonzero E_k.
-  * Stride.  g = 2 when every exponent of every 2 a_m is odd and every
-    exponent of 4 b_m is even, else 1.  Under that rule row m of Q_n
-    has only exponents = n + m (mod 2), by induction on the recurrence:
-    z^(+-1) Q_n moves row m +- 1 to row m, 2 a_n adds an odd exponent,
-    4 b_n Q_{n-1} an even one.  The operators and the elimination keep a
-    common parity per row in the same way, so half the slots would be
-    zeros at g = 1.  The congruence of the offsets is checked on every
-    sum rather than assumed, and a violation raises ArithmeticError.
-  * x-forms.  `_operator_xrows` gives the float witness of `numeric`
-    its exact values: the rows of Q_k, of S_q and of U_2 D_q, turned to
-    x by z^m + z^-m = E_m(x), E_{m+1} = 2x E_m - E_{m-1}.  Each
-    x-coefficient row is a `_lincomb` of z-rows with the integers of
-    E_m, so it widens the same way; `_fitted_xforms` runs that loop,
-    and `_poly_xrows` builds p_n's x-form alone for `qaw show`/`eval`.
-    `_unpack` splits a row's biased digits with one memoryview cast at
-    w = 8, 16, 32 and 64, and slot by slot at wider w.  `_xrow_floats`
-    unpacks each row once and turns it into a float at every q0 asked
-    for, each digit c of t^e as the correctly rounded c / 2^shift times
-    q0^(e/4) from a table of q0's powers, summed in slot order.
-- Other families fall back to Q(t, u), through the exact operator
-  pipeline of `awcore` on the family's cached z-forms Z_k.  Z_k has top
-  coefficient 2^-k, so each step of the leading-term elimination is one
-  scaled subtraction.
-  `expand_in_basis` runs that elimination on x_to_z(f).
+`expand_in_basis` expands any x-polynomial over Q(t, u) instead, on
+the family's cached z-forms Z_k.  Z_k has top coefficient 2^-k, so each
+step of its leading-term elimination is one scaled subtraction.
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ from dataclasses import dataclass, field
 from struct import calcsize
 from typing import Callable, Iterator
 
-from .awcore import OperatorContext, context, u2
+from .awcore import u2
 from .families import (
     C_SYM,
     OPSFamily,
@@ -205,34 +205,25 @@ def structure_relation(
     pi: XPoly,
     n: int,
     expected: dict[int, Scalar] | None = None,
-    ctx: OperatorContext | None = None,
 ) -> StructureReport:
     """Expand pi * (D_q p_n) in the family basis; pi must be U_2."""
     if n < 0:
         raise ValueError("index must be nonnegative")
     if pi != u2():
         raise ValueError("the relation is implemented for pi = U_2 only")
-    for _, _, dq in _expansions(n, fam, ctx):  # the last is U_2 D_q P_n
+    for _, _, dq in _expansions(n, fam):  # the last is U_2 D_q P_n
         pass
     return _offsets_report("dq-relation", n, dq, expected)
 
 
-def _expected_sq(n: int) -> dict[int, Scalar]:
+def _expected(check: str, n: int) -> dict[int, Scalar]:
+    """The closed-form coefficients of relation `check` at n, by offset."""
     s = coeff_suite()
-    out = {0: s.alpha_n.instantiate_n(n)}
-    if n >= 1:
-        out[-1] = s.c_n.instantiate_n(n)
-    return out
-
-
-def _expected_dq(n: int) -> dict[int, Scalar]:
-    s = coeff_suite()
-    out = {1: s.c_n1.instantiate_n(n), 0: s.c_n2.instantiate_n(n)}
-    if n >= 1:
-        out[-1] = s.c_n3.instantiate_n(n)
-    if n >= 2:
-        out[-2] = s.c_n4.instantiate_n(n)
-    return out
+    if check == "sq-relation":
+        forms = {0: s.alpha_n, -1: s.c_n}
+    else:
+        forms = {1: s.c_n1, 0: s.c_n2, -1: s.c_n3, -2: s.c_n4}
+    return {o: c.instantiate_n(n) for o, c in forms.items() if n + o >= 0}
 
 
 # t^2 - t^-2 and 1 as {t-exp: int}
@@ -258,32 +249,24 @@ class _Widen(Exception):
     """A bound reached 2^(w - 1): the step is redone at twice the width."""
 
 
-def _int_laurent(s: Scalar, scale: int) -> dict[int, int] | None:
-    """scale * s as {t-exp: int}, or None unless integral, Laurent and u-free."""
-    if not s.is_laurent:
-        return None
-    out = {}
-    for i, j, c in s.laurent_terms():
-        c = c * scale
-        if j or c.denominator != 1:
-            return None
-        out[i] = int(c)
-    return out
+def _int_laurent(s: Scalar, scale: int) -> dict[int, int]:
+    """scale * s as {t-exp: int}; ValueError unless integral, Laurent and u-free."""
+    laurent = s.is_laurent
+    terms = [(i, j, c * scale) for i, j, c in s.laurent_terms()] if laurent else []
+    if not laurent or any(j or c.denominator != 1 for _, j, c in terms):
+        raise ValueError("the integer kernel needs integral 2 a_n and 4 b_n in t")
+    return {i: int(c) for i, _, c in terms}
 
 
-def _int_recurrence(fam: OPSFamily, nmax: int) -> list[tuple[dict, dict]] | None:
-    """(2 a_m, 4 b_m) for m <= nmax as integer t-polynomials, or None.
+def _int_recurrence(fam: OPSFamily, nmax: int) -> list[tuple[dict, dict]]:
+    """(2 a_m, 4 b_m) for m <= nmax as integer t-polynomials, by `_int_laurent`.
 
     b_0 multiplies the zero polynomial Q_-1 and is never read.
     """
-    out = []
-    for m in range(nmax + 1):
-        a2 = _int_laurent(fam.rec_a(m), 2)
-        b4 = _int_laurent(fam.rec_b(m), 4) if m else {}
-        if a2 is None or b4 is None:
-            return None
-        out.append((a2, b4))
-    return out
+    return [
+        (_int_laurent(fam.rec_a(m), 2), _int_laurent(fam.rec_b(m), 4) if m else {})
+        for m in range(nmax + 1)
+    ]
 
 
 def _stride(rec: list[tuple[dict, dict]]) -> int:
@@ -405,6 +388,31 @@ def _zmonic_rows(
     return qs
 
 
+class _Kernel:
+    """The z-rows `qs` of Q_0, Q_1, ... of an integral family, at stride g
+    and a slot width w that doubles whenever a bound needs it."""
+
+    def __init__(self, fam: OPSFamily, nmax: int):
+        self.rec = _int_recurrence(fam, nmax)
+        self.g, self.w = _stride(self.rec), _SLOT_BITS
+        self.qs = _zmonic_rows(self.rec, 1, self.w, self.g)
+
+    def fit(self, step: Callable):
+        """step(qs, w, g), redone after each doubling, which rebuilds qs in place."""
+        while True:
+            try:
+                return step(self.qs, self.w, self.g)
+            except _Widen:
+                self.w *= 2
+                self.qs[:] = _zmonic_rows(self.rec, len(self.qs), self.w, self.g)
+
+    def extend(self, count: int) -> None:
+        """Store Q_k for every k < count."""
+        while len(self.qs) < count:
+            rec = self.rec[len(self.qs) - 1]
+            self.qs.append(self.fit(lambda qs, w, g: _zmonic_next(qs, *rec, w, g)))
+
+
 def _sq_rows(q: list[Row], w: int, g: int) -> dict[int, Row]:
     """Q_n(t^2 z) + Q_n(t^-2 z), i.e. 2^(n+1) S_q P_n, by its m >= 0 rows."""
     rows = {m: _lincomb([(_twin(m, 1), r)], w, g) for m, r in enumerate(q)}
@@ -432,6 +440,10 @@ def _dq_rows(q: list[Row], w: int, g: int) -> dict[int, Row]:
     return rows
 
 
+# each relation with its rows of Q_n, which are 2^(n + s) times its left side
+_RELATIONS = (("sq-relation", _sq_rows, 1), ("dq-relation", _dq_rows, 3))
+
+
 def _expand_int(
     work: dict[int, Row], qs: list[list[Row]], w: int, g: int
 ) -> dict[int, dict[int, int]]:
@@ -454,55 +466,24 @@ def _expand_int(
 
 def _int_scalar(e: dict[int, int], shift: int) -> Scalar:
     """The Scalar e / 2^shift of an integer {t-exp: int}."""
-    return Scalar.from_terms({(i, 0): c for i, c in e.items()}).scale(
-        Rat(1, 1 << shift)
-    )
-
-
-def _scaled_scalars(ex: dict[int, dict], top: int) -> dict[int, Scalar]:
-    """{k: E_k * 2^(k - top)} as Scalars."""
-    return {k: _int_scalar(e, top - k) for k, e in ex.items()}
+    den = 1 << shift
+    return Scalar.from_terms({(i, 0): Rat(c, den) for i, c in e.items()})
 
 
 def _expansions(
-    nmax: int, fam: OPSFamily, ctx: OperatorContext | None
+    nmax: int, fam: OPSFamily
 ) -> Iterator[tuple[str, int, dict[int, Scalar]]]:
     """(check, n, expansion) for S_q P_n, then U_2 D_q P_n, for n <= nmax.
 
     Lazy per relation, so a consumer timing each step sees them apart.
     """
-    rec = _int_recurrence(fam, nmax)
-    if rec is None:
-        ctx = ctx or context()
-        u2z = x_to_z(ctx.u2())
-        for n in range(nmax + 1):
-            zn = fam.zpoly(n)
-            yield "sq-relation", n, _expand_sym(ctx.sq_sym(zn), fam)
-            yield "dq-relation", n, _expand_sym(u2z * ctx.dq_sym(zn), fam)
-        return
-    g, w = _stride(rec), _SLOT_BITS
-    qs = _zmonic_rows(rec, 1, w, g)
-
-    def fitted(step):
-        """step(), redone at doubled widths until no bound reaches 2^(w - 1).
-
-        qs is rebuilt in place, so a caller's bound qs.append stays valid.
-        """
-        nonlocal w
-        while True:
-            try:
-                return step()
-            except _Widen:
-                w *= 2
-                qs[:] = _zmonic_rows(rec, len(qs), w, g)
-
+    kernel = _Kernel(fam, nmax)
     for n in range(nmax + 1):
         # G below has degree n + 1, so eliminating it needs Q_{n+1}
-        qs.append(fitted(lambda: _zmonic_next(qs, *rec[n], w, g)))
-        sq = fitted(lambda: _expand_int(_sq_rows(qs[n], w, g), qs, w, g))
-        yield "sq-relation", n, _scaled_scalars(sq, n + 1)
-        dq = fitted(lambda: _expand_int(_dq_rows(qs[n], w, g), qs, w, g))
-        yield "dq-relation", n, _scaled_scalars(dq, n + 3)
+        kernel.extend(n + 2)
+        for check, rows, s in _RELATIONS:
+            ex = kernel.fit(lambda qs, w, g: _expand_int(rows(qs[n], w, g), qs, w, g))
+            yield check, n, {k: _int_scalar(e, n + s - k) for k, e in ex.items()}
 
 
 def _x_rows(z: dict[int, Row], es: list[list[int]], w: int, g: int) -> list[Row]:
@@ -522,25 +503,19 @@ def _x_rows(z: dict[int, Row], es: list[list[int]], w: int, g: int) -> list[Row]
 def _fitted_xforms(count: int, fam: OPSFamily, build: Callable):
     """build(qs, x, w, g) at one slot width that doubles until no bound reaches it.
 
-    qs holds the integer route's z-rows of Q_0 .. Q_(count-1), and
-    x(z, shift) is the x-form of the z-rows z over 2^shift, by `_x_rows`
-    at the same width.  ValueError unless the family's 2 a_n and 4 b_n
-    are integral, u-free Laurent polynomials in t.
+    qs holds the z-rows of Q_0 .. Q_(count-1), and x(z, shift) is the
+    x-form of the z-rows z over 2^shift, by `_x_rows` at the same width.
+    ValueError unless the family's 2 a_n and 4 b_n are integral, u-free
+    Laurent polynomials in t.
     """
-    rec = _int_recurrence(fam, count - 2)
-    if rec is None:
-        raise ValueError("the integer kernel needs integral 2 a_n and 4 b_n in t")
-    g, w = _stride(rec), _SLOT_BITS
+    kernel = _Kernel(fam, count - 2)
+    kernel.extend(count)
     es = _e_table(count - 1)
 
-    def x(z: dict[int, Row], shift: int) -> XRows:
-        return _x_rows(z, es, w, g), shift, w, g
+    def step(qs, w, g):
+        return build(qs, lambda z, shift: (_x_rows(z, es, w, g), shift, w, g), w, g)
 
-    while True:
-        try:
-            return build(_zmonic_rows(rec, count, w, g), x, w, g)
-        except _Widen:
-            w *= 2
+    return kernel.fit(step)
 
 
 def _poly_xrows(n: int, fam: OPSFamily) -> XRows:
@@ -596,28 +571,26 @@ def _xrow_poly(f: XRows) -> XPoly:
 def iter_proposition_reports(
     nmax: int,
     fam: OPSFamily | None = None,
-    ctx: OperatorContext | None = None,
+    ctx: object = None,  # ignored; the benchmark's worker still passes a context
 ) -> Iterator[StructureReport]:
     """Per-n reports for both relations, in order (sq then dq per n).
 
     Coefficients against the zero polynomials p_{-1}, p_{-2} are absent
-    on both sides at small n, so nothing special happens there.  Both
-    routes of the module docstring give equal reports.
+    on both sides at small n, so nothing special happens there.
+    ValueError for a negative nmax and for a family whose 2 a_n and 4 b_n
+    are not integral, u-free Laurent polynomials in t.
     """
-    expected = {"sq-relation": _expected_sq, "dq-relation": _expected_dq}
-    for check, n, ex in _expansions(nmax, fam or counterexample_family(), ctx):
-        yield _offsets_report(check, n, ex, expected[check](n))
+    if nmax < 0:
+        raise ValueError("nmax must be nonnegative")
+    for check, n, ex in _expansions(nmax, fam or counterexample_family()):
+        yield _offsets_report(check, n, ex, _expected(check, n))
 
 
 def verify_proposition(
-    nmax: int,
-    fam: OPSFamily | None = None,
-    ctx: OperatorContext | None = None,
+    nmax: int, fam: OPSFamily | None = None
 ) -> list[StructureReport]:
     """Both relations for every n <= nmax; failures are data, not errors."""
-    if nmax < 0:
-        raise ValueError("nmax must be nonnegative")
-    return list(iter_proposition_reports(nmax, fam, ctx))
+    return list(iter_proposition_reports(nmax, fam))
 
 
 @dataclass

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import json
 import math
+from typing import NamedTuple
 
-from .scalar import MAX_EXPONENT, Rat, Scalar, tpow, upow, rational, ZERO, ONE
+from .scalar import MAX_EXPONENT, Rat, Scalar, tpow, upow, rational, ONE
 from .scalar import _max_exponent
 from .zsym import XPoly, ZLaurent
 
@@ -245,171 +246,112 @@ def parse_scalar(text: str) -> Scalar:
 # ---------------------------------------------------------------------------
 
 
-def _rat_body(c: Rat) -> str:
-    # c positive
-    if c.denominator == 1:
-        return str(c.numerator)
-    return "(%d/%d)" % (c.numerator, c.denominator)
+class _Style(NamedTuple):
+    """How one output format writes the pieces of a rendered value."""
+
+    frac: str  # a positive non-integer rational, from (numerator, denominator)
+    power: str  # a variable to an exponent other than 0 and 1
+    product: str  # the separator between factors
+    quotient: str  # a fraction that is not Laurent, from (numerator, denominator)
+    paren: str  # a coefficient of more than one term
 
 
-def _term_body(c: Rat, i: int, j: int) -> str:
-    mono = []
-    if i:
-        mono.append("t" if i == 1 else "t^%d" % i)
-    if j:
-        mono.append("u" if j == 1 else "u^%d" % j)
-    if not mono:
-        return _rat_body(c)
-    if c != 1:
-        mono.insert(0, _rat_body(c))
-    return "*".join(mono)
+_TEXT = _Style("(%d/%d)", "%s^%d", "*", "(%s)/(%s)", "(%s)")
+_LATEX = _Style(
+    r"\tfrac{%d}{%d}", "%s^{%d}", "", r"\frac{%s}{%s}", r"\left(%s\right)"
+)
+
+
+def _power(var: str, e: int, st: _Style) -> str:
+    return "" if not e else var if e == 1 else st.power % (var, e)
+
+
+def _signed_term(c: Rat, factors: list[str], st: _Style) -> tuple[bool, str]:
+    """(c < 0, |c| times the nonempty factors); a unit |c| is left out
+    unless no factor is left."""
+    p, q = c.numerator, c.denominator
+    neg = p < 0
+    if neg:
+        p = -p
+    out = [f for f in factors if f]
+    if p != 1 or q != 1 or not out:
+        out.insert(0, str(p) if q == 1 else st.frac % (p, q))
+    return neg, st.product.join(out)
 
 
 def _join_signed(parts: list[tuple[bool, str]]) -> str:
-    neg, body = parts[0]
-    out = ("-" if neg else "") + body
-    for neg, body in parts[1:]:
-        out += " - " + body if neg else " + " + body
-    return out
-
-
-def _render_terms(terms) -> str:
-    parts = []
-    for i, j, c in terms:
-        parts.append((c < 0, _term_body(abs(c), i, j)))
     if not parts:
         return "0"
+    out = ["-" if parts[0][0] else "", parts[0][1]]
+    for neg, body in parts[1:]:
+        out += (" - " if neg else " + ", body)
+    return "".join(out)
+
+
+def _render_terms(terms, st: _Style) -> str:
+    return _join_signed(
+        [
+            _signed_term(c, [_power("t", i, st), _power("u", j, st)], st)
+            for i, j, c in terms
+        ]
+    )
+
+
+def _scalar(s: Scalar, st: _Style) -> str:
+    if s.is_laurent:
+        return _render_terms(s.laurent_terms(), st)
+    return st.quotient % (
+        _render_terms(s.numerator_terms(), st),
+        _render_terms(s.denominator_terms(), st),
+    )
+
+
+def _var_poly(pairs, var: str, st: _Style) -> str:
+    """The sum of c var^e over the (e, c) pairs, in their order.
+
+    A one-term Laurent c is written as a signed product with the power of
+    var, any other c in parentheses in front of it.
+    """
+    parts = []
+    for e, c in pairs:
+        vp = _power(var, e, st)
+        terms = list(c.laurent_terms()) if c.is_laurent else None
+        if terms is not None and len(terms) == 1:
+            ((i, j, r),) = terms
+            parts.append(
+                _signed_term(r, [_power("t", i, st), _power("u", j, st), vp], st)
+            )
+        else:
+            body = st.paren % (
+                _scalar(c, st) if terms is None else _render_terms(terms, st)
+            )
+            parts.append((False, st.product.join((body, vp)) if vp else body))
     return _join_signed(parts)
+
+
+def _xpairs(f: XPoly) -> list[tuple[int, Scalar]]:
+    cs = f.coeffs()
+    return [(k, cs[k]) for k in range(len(cs) - 1, -1, -1) if cs[k]]
 
 
 def render_scalar(s: Scalar) -> str:
-    if s.is_zero:
-        return "0"
-    if s.is_laurent:
-        return _render_terms(s.laurent_terms())
-    return "(%s)/(%s)" % (
-        _render_terms(s.numerator_terms()),
-        _render_terms(s.denominator_terms()),
-    )
-
-
-def _scalar_piece(c: Scalar) -> tuple[bool, str]:
-    """Render a coefficient for use inside a larger polynomial term.
-
-    Returns (negated, body); the body omits a unit coefficient and is
-    parenthesised when it is not a single product.
-    """
-    if c.is_laurent:
-        terms = list(c.laurent_terms())
-        if len(terms) == 1:
-            i, j, r = terms[0]
-            neg = r < 0
-            if neg:
-                r = -r
-            if r == 1 and (i or j):
-                return neg, _term_body(Rat(1), i, j)
-            return neg, _term_body(r, i, j)
-    return False, "(%s)" % render_scalar(c)
-
-
-def _render_var_poly(pairs, var: str) -> str:
-    # pairs: iterable of (exponent, Scalar), descending
-    parts = []
-    for e, c in pairs:
-        neg, body = _scalar_piece(c)
-        if e == 0:
-            vp = ""
-        elif e == 1:
-            vp = var
-        else:
-            vp = "%s^%d" % (var, e)
-        if not vp:
-            parts.append((neg, body))
-        elif body == "1":
-            parts.append((neg, vp))
-        else:
-            parts.append((neg, "%s*%s" % (body, vp)))
-    if not parts:
-        return "0"
-    return _join_signed(parts)
-
-
-def render_xpoly(f: XPoly) -> str:
-    pairs = [(k, f.coeff(k)) for k in range(len(f.coeffs()) - 1, -1, -1) if f.coeff(k)]
-    return _render_var_poly(pairs, "x")
-
-
-def render_zlaurent(g: ZLaurent) -> str:
-    return _render_var_poly(list(g.terms()), "z")
-
-
-# ---------------------------------------------------------------------------
-# LaTeX
-# ---------------------------------------------------------------------------
-
-
-def _latex_rat(c: Rat) -> str:
-    if c.denominator == 1:
-        return str(c.numerator)
-    return r"\tfrac{%d}{%d}" % (c.numerator, c.denominator)
-
-
-def _latex_term(c: Rat, i: int, j: int) -> str:
-    mono = ""
-    if i:
-        mono += "t" if i == 1 else "t^{%d}" % i
-    if j:
-        mono += "u" if j == 1 else "u^{%d}" % j
-    if not mono:
-        return _latex_rat(c)
-    if c == 1:
-        return mono
-    return _latex_rat(c) + mono
-
-
-def _latex_terms(terms) -> str:
-    parts = [(c < 0, _latex_term(abs(c), i, j)) for i, j, c in terms]
-    if not parts:
-        return "0"
-    return _join_signed(parts)
+    return _scalar(s, _TEXT)
 
 
 def latex_scalar(s: Scalar) -> str:
-    if s.is_zero:
-        return "0"
-    if s.is_laurent:
-        return _latex_terms(s.laurent_terms())
-    return r"\frac{%s}{%s}" % (
-        _latex_terms(s.numerator_terms()),
-        _latex_terms(s.denominator_terms()),
-    )
+    return _scalar(s, _LATEX)
+
+
+def render_xpoly(f: XPoly) -> str:
+    return _var_poly(_xpairs(f), "x", _TEXT)
 
 
 def latex_xpoly(f: XPoly) -> str:
-    parts = []
-    for k in range(len(f.coeffs()) - 1, -1, -1):
-        c = f.coeff(k)
-        if not c:
-            continue
-        if k == 0:
-            xp = ""
-        elif k == 1:
-            xp = "x"
-        else:
-            xp = "x^{%d}" % k
-        if c.is_laurent and len(list(c.laurent_terms())) == 1:
-            ((i, j, r),) = c.laurent_terms()
-            neg = r < 0
-            body = _latex_term(abs(r), i, j)
-            if body == "1" and xp:
-                body = ""
-            parts.append((neg, (body + xp) or "1"))
-        else:
-            body = r"\left(%s\right)" % latex_scalar(c)
-            parts.append((False, body + xp))
-    if not parts:
-        return "0"
-    return _join_signed(parts)
+    return _var_poly(_xpairs(f), "x", _LATEX)
+
+
+def render_zlaurent(g: ZLaurent) -> str:
+    return _var_poly(g.terms(), "z", _TEXT)
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,7 @@ from qaw.structure import (
     _Widen,
     _expand_int,
     _expand_sym,
-    _expected_dq,
-    _expected_sq,
+    _expected,
     _int_recurrence,
     _lincomb,
     _stride,
@@ -107,14 +106,15 @@ def test_relation_coefficients_match_closed_forms():
 
 
 def test_relation_matches_x_side_pipeline():
+    # a non-integral family is refused instead, see
+    # test_corrupted_coefficient_fails[non-integral]
     w = u2()
-    # the non-integral family takes the generator's Q(t, u) fallback
-    for fam in (counterexample_family(), bumped_family(rational(1, 3))):
-        for n in range(11):
-            rep = structure_relation(fam, w, n)
-            direct = expand_in_basis(w * dq_apply(fam.poly(n)), fam)
-            for k, c in enumerate(direct):
-                assert rep.coefficients.get(k - n, ZERO) == c
+    fam = counterexample_family()
+    for n in range(11):
+        rep = structure_relation(fam, w, n)
+        direct = expand_in_basis(w * dq_apply(fam.poly(n)), fam)
+        for k, c in enumerate(direct):
+            assert rep.coefficients.get(k - n, ZERO) == c
 
 
 def test_residuals_reported_on_mismatch():
@@ -134,6 +134,12 @@ def test_verify_proposition_base():
         verify_proposition(-1)
 
 
+def test_negative_nmax_is_refused():
+    # the generator itself refuses, rather than yielding nothing
+    with pytest.raises(ValueError, match="nonnegative"):
+        list(iter_proposition_reports(-1))
+
+
 def test_verify_proposition_small_sweep():
     reports = verify_proposition(8)
     assert len(reports) == 18
@@ -146,16 +152,16 @@ def test_sweep_matches_scalar_reference():
     # the integer sweep against the Q(t, u) operator pipeline
     fam = counterexample_family()
     ctx = context()
-    assert _int_recurrence(fam, 10) is not None
     u2z = x_to_z(u2())
-    reports = list(iter_proposition_reports(10, fam, ctx))
+    reports = list(iter_proposition_reports(10, fam))
     assert len(reports) == 22
     for rep in reports:
         zn = fam.zpoly(rep.n)
         if rep.check == "sq-relation":
-            g, expected = ctx.sq_sym(zn), _expected_sq(rep.n)
+            g = ctx.sq_sym(zn)
         else:
-            g, expected = u2z * ctx.dq_sym(zn), _expected_dq(rep.n)
+            g = u2z * ctx.dq_sym(zn)
+        expected = _expected(rep.check, rep.n)
         ref = _offsets_report(rep.check, rep.n, _expand_sym(g, fam), expected)
         assert rep.coefficients == ref.coefficients
         assert rep.bandwidth == ref.bandwidth
@@ -170,8 +176,20 @@ def test_sweep_matches_scalar_reference():
 )
 def test_corrupted_coefficient_fails(bump, integral):
     fam = bumped_family(bump)
-    # an integral bump keeps the integer route, 1/3 forces the Q(t, u) one
-    assert (_int_recurrence(fam, 6) is not None) == integral
+    if not integral:
+        # a b_3 with 4 b_3 not integral has no route: every entry point that
+        # reads b_3 raises, and those that stop short of it still pass
+        for read_b3 in (
+            lambda: _int_recurrence(fam, 3),
+            lambda: verify_proposition(6, fam),
+            lambda: list(iter_proposition_reports(6, fam)),
+            lambda: structure_relation(fam, u2(), 6),
+            lambda: bandwidth_scan(fam, u2(), 6),
+        ):
+            with pytest.raises(ValueError, match="integral 2 a_n and 4 b_n"):
+                read_b3()
+        assert all(r.status == "pass" for r in verify_proposition(2, fam))
+        return
     reports = verify_proposition(6, fam)
     assert len(reports) == 14
     # P_0 .. P_3 do not read b_3; the D_q relation at n = 3 expands
@@ -203,8 +221,7 @@ def test_bandwidth_scan():
 
 def test_bandwidth_scan_reuses_reports():
     fam = counterexample_family()
-    ctx = context()
-    reports = list(iter_proposition_reports(6, fam, ctx))
+    reports = list(iter_proposition_reports(6, fam))
     summary = bandwidth_scan(fam, u2(), 6, reports=reports)
     assert summary.status == "pass"
     assert summary.nmax == 6
@@ -238,10 +255,13 @@ def test_integral_family_never_takes_the_qtu_route(monkeypatch):
     assert bandwidth_scan(fam, u2(), 8).status == "pass"
 
 
-# (a, b, c, base) and whether the lower bandwidth stays at 2: the
-# counterexample, then four perturbations whose lower bandwidth is n
+# (a, b, c, base) and whether the lower bandwidth stays at 2 for n <= 8:
+# the counterexample, its mirror under x -> -x (all parameters negated),
+# (1, t, -t | t^2), then four perturbations whose lower bandwidth is n
 NEIGHBOURS = {
     "1,-1,t|t^2": ((ONE, rational(-1), tpow(1), tpow(2)), True),
+    "1,-1,-t|t^2": ((ONE, rational(-1), -tpow(1), tpow(2)), True),
+    "1,t,-t|t^2": ((ONE, tpow(1), -tpow(1), tpow(2)), True),
     "1,-1,t^3|t^2": ((ONE, rational(-1), tpow(3), tpow(2)), False),
     "t,-t,t^3|t^2": ((tpow(1), -tpow(1), tpow(3), tpow(2)), False),
     "1,-1,t|t^4": ((ONE, rational(-1), tpow(1), tpow(4)), False),
@@ -253,14 +273,13 @@ NEIGHBOURS = {
 def test_neighbourhood_bandwidths(label):
     params, bounded = NEIGHBOURS[label]
     fam = dual_qhahn_family(FamilyParams(*params))
-    assert _int_recurrence(fam, 8) is not None
     summary = bandwidth_scan(fam, u2(), 8)
     assert summary.rows == [(n, 2 if bounded else n, 1) for n in range(2, 9)]
     assert summary.status == ("pass" if bounded else "fail")
     # the kernel's D_q expansions against the Q(t, u) reference
     ctx = context()
     u2z = x_to_z(u2())
-    for rep in iter_proposition_reports(6, fam, ctx):
+    for rep in iter_proposition_reports(6, fam):
         if rep.check == "dq-relation":
             ref = _expand_sym(u2z * ctx.dq_sym(fam.zpoly(rep.n)), fam)
             assert rep.coefficients == {k - rep.n: v for k, v in ref.items()}
@@ -269,9 +288,11 @@ def test_neighbourhood_bandwidths(label):
 def test_stride_follows_the_data():
     # g = 2 exactly when every 2 a_m has odd and every 4 b_m even exponents
     assert _stride(_int_recurrence(counterexample_family(), 20)) == 2
+    # (1, t, -t | t^2) is bounded at stride 1: its 2 a_1 = t^6 + t^4
+    stride_1 = {"1,t,-t|t^2", "t,t^2,t^3|t^4"}
     for label, (params, _) in NEIGHBOURS.items():
         rec = _int_recurrence(dual_qhahn_family(FamilyParams(*params)), 8)
-        assert _stride(rec) == (1 if label == "t,t^2,t^3|t^4" else 2), label
+        assert _stride(rec) == (1 if label in stride_1 else 2), label
     assert _stride(_int_recurrence(bumped_family(tpow(5)), 6)) == 1
 
 
@@ -318,7 +339,7 @@ def test_wide_recurrence_coefficient_matches_qtu_route():
     fam = OPSFamily(lambda n: rational(2**70), lambda n: ONE)
     ctx = context()
     u2z = x_to_z(u2())
-    reps = list(iter_proposition_reports(4, fam, ctx))
+    reps = list(iter_proposition_reports(4, fam))
     assert len(reps) == 10
     for rep in reps:
         zn = fam.zpoly(rep.n)

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from qaw.families import counterexample_family
 from qaw.scalar import HALF, MAX_EXPONENT, ONE, Scalar, T, U, rational, tpow, upow
 from qaw.textio import (
     MAX_POWER_TERMS,
@@ -17,8 +18,50 @@ from qaw.textio import (
     parse_xpoly,
     render_scalar,
     render_xpoly,
+    render_zlaurent,
 )
-from qaw.zsym import XPoly
+from qaw.zsym import XPoly, ZLaurent
+
+# Rendered strings pinned literally, text and LaTeX: p_3 (what `qaw show
+# --n 3` prints), an XPoly with a non-Laurent coefficient, unit-monomial
+# and multi-term ones, a non-Laurent Scalar, and a ZLaurent.
+P3_TEXT = (
+    "x^3 + (-(1/2)*t^9 - (1/2)*t^7 - t^5 - (1/2)*t^3 - (1/2)*t)*x^2"
+    " + ((1/4)*t^14 + (1/2)*t^12 + (3/4)*t^10 + (3/4)*t^8 + (3/4)*t^6"
+    " + (1/2)*t^4 + (1/4)*t^2 - (3/4))*x"
+    " + (-(1/4)*t^15 - (1/4)*t^13 - (1/2)*t^11 - (1/4)*t^9 - (1/4)*t^7"
+    " + (1/4)*t^5 + (1/4)*t)"
+)
+P3_LATEX = (
+    r"x^{3} + \left(-\tfrac{1}{2}t^{9} - \tfrac{1}{2}t^{7} - t^{5}"
+    r" - \tfrac{1}{2}t^{3} - \tfrac{1}{2}t\right)x^{2}"
+    r" + \left(\tfrac{1}{4}t^{14} + \tfrac{1}{2}t^{12} + \tfrac{3}{4}t^{10}"
+    r" + \tfrac{3}{4}t^{8} + \tfrac{3}{4}t^{6} + \tfrac{1}{2}t^{4}"
+    r" + \tfrac{1}{4}t^{2} - \tfrac{3}{4}\right)x"
+    r" + \left(-\tfrac{1}{4}t^{15} - \tfrac{1}{4}t^{13} - \tfrac{1}{2}t^{11}"
+    r" - \tfrac{1}{4}t^{9} - \tfrac{1}{4}t^{7} + \tfrac{1}{4}t^{5}"
+    r" + \tfrac{1}{4}t\right)"
+)
+MIXED = XPoly(
+    [rational(-3, 2), tpow(-2) * U, ONE / (ONE - U), -ONE, (HALF * T - U) / U, -T]
+)
+MIXED_TEXT = (
+    "-t*x^5 + ((1/2)*t*u^-1 - 1)*x^4 - x^3 + ((-1)/(u - 1))*x^2"
+    " + t^-2*u*x - (3/2)"
+)
+MIXED_LATEX = (
+    r"-tx^{5} + \left(\tfrac{1}{2}tu^{-1} - 1\right)x^{4} - x^{3}"
+    r" + \left(\frac{-1}{u - 1}\right)x^{2} + t^{-2}ux - \tfrac{3}{2}"
+)
+FRACTION = (HALF * T - U) / (rational(3) * tpow(2) + U)
+FRACTION_TEXT = "((1/6)*t - (1/3)*u)/(t^2 + (1/3)*u)"
+FRACTION_LATEX = r"\frac{\tfrac{1}{6}t - \tfrac{1}{3}u}{t^{2} + \tfrac{1}{3}u}"
+ZFORM = ZLaurent(
+    {2: -HALF * T, 1: ONE, 0: ONE / (ONE + T), -1: ONE, -2: -HALF * T, -3: U / T}
+)
+ZFORM_TEXT = (
+    "-(1/2)*t*z^2 + z + ((1)/(t + 1)) + z^-1 - (1/2)*t*z^-2 + t^-1*u*z^-3"
+)
 
 
 def test_parse_xpoly():
@@ -140,6 +183,10 @@ def test_render_examples():
     frac = ONE / (ONE - U)
     text = render_scalar(frac)
     assert "/" in text and "u" in text
+    assert render_xpoly(counterexample_family().poly(3)) == P3_TEXT
+    assert render_xpoly(MIXED) == MIXED_TEXT
+    assert render_scalar(FRACTION) == FRACTION_TEXT
+    assert render_zlaurent(ZFORM) == ZFORM_TEXT
 
 
 def test_roundtrip_random():
@@ -163,6 +210,9 @@ def test_latex_smoke():
     s = latex_xpoly(XPoly([ONE, HALF]))
     assert "\\tfrac{1}{2}" in s
     assert "\\frac" in latex_scalar(ONE / (ONE - U))
+    assert latex_xpoly(counterexample_family().poly(3)) == P3_LATEX
+    assert latex_xpoly(MIXED) == MIXED_LATEX
+    assert latex_scalar(FRACTION) == FRACTION_LATEX
 
 
 def test_format_record_json():
