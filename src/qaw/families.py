@@ -28,13 +28,12 @@ and that happens at the verification layer, not here.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
-from .scalar import Rat, Scalar, tpow, upow, rational, HALF, ONE, T, U, ZERO
+from .scalar import Rat, Scalar, _pack, _padd, _pmul, _psub, _unpack
+from .scalar import tpow, upow, rational, HALF, ONE, T, U, ZERO
 from .zsym import XPoly, ZLaurent, z_to_x
 
-_ALPHA = (tpow(2) + tpow(-2)) * HALF
 _QUARTER = rational(1, 4)
 _HALF = Rat(1, 2)
 
@@ -97,22 +96,26 @@ def ttrr_polys(fam: OPSFamily, nmax: int) -> list[XPoly]:
     return [fam.poly(n) for n in range(nmax + 1)]
 
 
-@dataclass(frozen=True)
-class FamilyParams:
+class _FamilyFields(NamedTuple):
+    a: Scalar
+    b: Scalar
+    c: Scalar
+    base: Scalar
+
+
+class FamilyParams(_FamilyFields):
     """Parameters (a, b, c | base) of a continuous dual q-Hahn family.
 
     The base is a Scalar so that the counterexample's base t^2 and any
     generic base go through the same code path.
     """
 
-    a: Scalar
-    b: Scalar
-    c: Scalar
-    base: Scalar
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.base.is_zero or self.base.is_one:
+    def __new__(cls, a: Scalar, b: Scalar, c: Scalar, base: Scalar):
+        if base.is_zero or base.is_one:
             raise ValueError("family base must differ from 0 and 1")
+        return super().__new__(cls, a, b, c, base)
 
 
 COUNTEREXAMPLE_PARAMS = FamilyParams(ONE, rational(-1), T, tpow(2))
@@ -172,8 +175,7 @@ def counterexample_family() -> OPSFamily:
     )
 
 
-@dataclass(frozen=True)
-class CoeffSuite:
+class CoeffSuite(NamedTuple):
     """Every named scalar of the structure relations at one index.
 
     In symbolic mode the index is u itself and neighbours are reached
@@ -199,10 +201,74 @@ class CoeffSuite:
     d_k6: Scalar
 
 
+def _shl(d: dict, s: int) -> dict:
+    return {k: c << s for k, c in d.items()} if s else d
+
+
+class _Dyadic:
+    """d / 2^e, with d an int dict over Scalar's packed (t, u) keys.
+
+    The suite's Laurent members are evaluated in this form: `_pmul` on
+    int coefficients costs a small fraction of the same product on
+    Fractions, and the formulas read as they do on Scalars.
+    """
+
+    __slots__ = ("d", "e")
+
+    def __init__(self, d: dict, e: int = 0):
+        self.d = d
+        self.e = e
+
+    @classmethod
+    def of(cls, s: Scalar) -> "_Dyadic":
+        """A Laurent scalar whose coefficients have power-of-two denominators."""
+        terms = list(s.laurent_terms())
+        e = max(c.denominator.bit_length() - 1 for _, _, c in terms)
+        return cls({_pack(i, j): int(c * (1 << e)) for i, j, c in terms}, e)
+
+    def _aligned(self, o: "_Dyadic") -> tuple[dict, dict, int]:
+        e = max(self.e, o.e)
+        return _shl(self.d, e - self.e), _shl(o.d, e - o.e), e
+
+    def __add__(self, o: "_Dyadic") -> "_Dyadic":
+        a, b, e = self._aligned(o)
+        return _Dyadic(_padd(a, b), e)
+
+    def __sub__(self, o: "_Dyadic") -> "_Dyadic":
+        a, b, e = self._aligned(o)
+        return _Dyadic(_psub(a, b), e)
+
+    def __mul__(self, o: "_Dyadic") -> "_Dyadic":
+        return _Dyadic(_pmul(self.d, o.d), self.e + o.e)
+
+    def shift_n(self, k: int) -> "_Dyadic":
+        """n -> n + k, i.e. u -> u t^(2k), as `Scalar.shift_n`."""
+        dk = _pack(2 * k, 0)
+        d = {key + dk * _unpack(key)[1]: c for key, c in self.d.items()}
+        return _Dyadic(d, self.e)
+
+    def scalar(self) -> Scalar:
+        den = 1 << self.e
+        return Scalar({k: Rat(c, den) for k, c in self.d.items()}, {0: Rat(1)})
+
+
+# c_{n,1} = (alpha^2 - 1) gamma_n in Laurent form: alpha^2 - 1 is
+# (t^2 - t^-2)^2 / 4, so gamma_n's denominator t^2 - t^-2 cancels and
+# c_{n,1} = (t^2 - t^-2)(u - u^-1) / 4, stored here times 4
+_C_N1 = {_pack(2, 1): 1, _pack(2, -1): -1, _pack(-2, 1): -1, _pack(-2, -1): 1}
+
+
 def _build_symbolic_suite() -> CoeffSuite:
-    al, ga, B, C, c = ALPHA_SYM, GAMMA_SYM, B_SYM, C_SYM, c_SYM
-    a = _ALPHA
-    a2m1 = a * a - ONE
+    """The suite's formulas, evaluated once over Z[1/2][t^+-1, u^+-1].
+
+    gamma_n is the one member that is not Laurent; it enters the
+    formulas only through c_{n,1}, whose Laurent form is `_C_N1`, so the
+    term (1 - alpha^2) gamma_n C_n of c_{n,3} is -c_{n,1} C_n.
+    """
+    al, B, C, c = map(_Dyadic.of, (ALPHA_SYM, B_SYM, C_SYM, c_SYM))
+    a = _Dyadic({_pack(2, 0): 1, _pack(-2, 0): 1}, 1)  # alpha = (t^2 + t^-2)/2
+    one = _Dyadic({0: 1})
+    a2m1 = a * a - one
 
     Bm1 = B.shift_n(-1)
     Bp1 = B.shift_n(1)
@@ -213,22 +279,22 @@ def _build_symbolic_suite() -> CoeffSuite:
     cm1 = c.shift_n(-1)
     cp1 = c.shift_n(1)
 
-    c1 = a2m1 * ga
-    c2 = cp1 - a * c + (ONE - a) * al * B
-    c3 = (B - a * Bm1) * c + (ONE - a * a) * ga * C
+    c1 = _Dyadic(_C_N1, 2)
+    c2 = cp1 - a * c + (one - a) * al * B
+    c3 = (B - a * Bm1) * c - c1 * C
     c4 = cm1 * C - a * c * Cm1
 
     d1 = a2m1 * al + a * c1
     d2 = a2m1 * (c + al * (B + Bp1)) + a * c2 - (B - a * Bp1) * c1
     d3 = (
-        a2m1 * ((B + Bm1) * c + al * (B * B + C + Cp1 - ONE))
+        a2m1 * ((B + Bm1) * c + al * (B * B + C + Cp1 - one))
         + a * c1 * Cp1
         - c1.shift_n(-1) * C
-        + (a - ONE) * c2 * B
+        + (a - one) * c2 * B
         + a * c3
     )
     d4 = (
-        a2m1 * ((B + Bm1) * al * C + (C + Bm1 * Bm1 + Cm1 - ONE) * c)
+        a2m1 * ((B + Bm1) * al * C + (C + Bm1 * Bm1 + Cm1 - one) * c)
         - (c2.shift_n(-1) - a * c2) * C
         - (B - a * Bm1) * c3
         + a * c4
@@ -241,7 +307,10 @@ def _build_symbolic_suite() -> CoeffSuite:
     )
     d6 = a2m1 * c * Cm1 * Cm2 + a * c4 * Cm2 - c4.shift_n(-1) * C
 
-    return CoeffSuite(al, ga, B, C, c, c1, c2, c3, c4, d1, d2, d3, d4, d5, d6)
+    laurent = (c1, c2, c3, c4, d1, d2, d3, d4, d5, d6)
+    return CoeffSuite(
+        ALPHA_SYM, GAMMA_SYM, B_SYM, C_SYM, c_SYM, *(m.scalar() for m in laurent)
+    )
 
 
 _SYMBOLIC_SUITE: CoeffSuite | None = None
@@ -259,12 +328,7 @@ def coeff_suite(symbolic: bool = True, n: int | None = None) -> CoeffSuite:
         return suite
     if n is None:
         raise ValueError("instantiated suite needs the index n")
-    return CoeffSuite(
-        **{
-            f: getattr(suite, f).instantiate_n(n)
-            for f in CoeffSuite.__dataclass_fields__
-        }
-    )
+    return CoeffSuite._make(m.instantiate_n(n) for m in suite)
 
 
 def qpochhammer(a: Scalar, base: Scalar, k: int) -> Scalar:

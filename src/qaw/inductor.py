@@ -21,18 +21,14 @@ evaluated; exactly one cancels and the certificate records which.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .awcore import ALPHA, context
 from .families import CoeffSuite, coeff_suite, counterexample_family
 from .scalar import ONE, Scalar, ZERO
 from .zsym import XPoly
 
-_SUITE_FIELDS = tuple(CoeffSuite.__dataclass_fields__)
-
-
-@dataclass
-class IdentityCertificate:
+class IdentityCertificate(NamedTuple):
     """One identity, its residual, and the zero/nonzero verdict."""
 
     name: str
@@ -64,7 +60,7 @@ def _cert(name: str, residual: Scalar, note: str = "") -> IdentityCertificate:
 
 
 def _shift_suite(s: CoeffSuite, j: int) -> CoeffSuite:
-    return CoeffSuite(**{f: getattr(s, f).shift_n(j) for f in _SUITE_FIELDS})
+    return CoeffSuite._make(m.shift_n(j) for m in s)
 
 
 class _Neighborhood:

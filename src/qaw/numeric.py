@@ -20,7 +20,7 @@ and the closed forms stay independent of both.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .awcore import u2
 from .families import OPSFamily, counterexample_family
@@ -33,14 +33,20 @@ from .structure import (
 from .zsym import XPoly
 
 
-@dataclass(frozen=True)
-class NumericConfig:
+class _NumericFields(NamedTuple):
     q_samples: tuple[float, ...] = (0.3, 0.7)
     x_samples: tuple[float, ...] = (1.1, 1.5, 2.0, 3.0)
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
 
-    def __post_init__(self):
+
+class NumericConfig(_NumericFields):
+    """The float grid and the tolerances of `numeric_crosscheck`."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.q_samples or not self.x_samples:
             raise ValueError("the grid needs at least one q and one x sample")
         for q0 in self.q_samples:
@@ -56,6 +62,7 @@ class NumericConfig:
             raise ValueError("rel_tol must be finite and positive")
         if not (math.isfinite(self.abs_tol) and self.abs_tol >= 0.0):
             raise ValueError("abs_tol must be finite and nonnegative")
+        return self
 
     def grid(self) -> str:
         return "q in %s, x in %s" % (list(self.q_samples), list(self.x_samples))
@@ -113,8 +120,7 @@ def _rel_dev(a: float, b: float, abs_tol: float) -> float:
     return d / max(abs(a), abs(b))
 
 
-@dataclass
-class NumericSummary:
+class NumericSummary(NamedTuple):
     nmax: int
     grid: str
     max_rel_dev: float
@@ -208,7 +214,10 @@ def numeric_crosscheck(
                         rf = scalars((side, "closed", n), expected.values(), q0)
                         lhs_f = eval_poly(wf, q0, x0) * lattice(fp[0], q0, x0)
                         lhs_e = eval_poly(ef, q0, x0)
-                        rhs = sum(c * vals[k] for k, c in zip(expected, rf))
+                        # left to right, not `sum`, as `_xrow_floats` adds
+                        rhs = 0.0
+                        for k, c in zip(expected, rf):
+                            rhs += c * vals[k]
                         at = "%s n=%d q=%g x=%g" % (side, n, q0, x0)
                         track(lhs_f, lhs_e, at + " lattice-vs-exact")
                         track(lhs_e, rhs, at + " exact-vs-closed")

@@ -94,9 +94,8 @@ step of its leading-term elimination is one scaled subtraction.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
 from struct import calcsize
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .awcore import u2
 from .families import (
@@ -121,8 +120,7 @@ from .scalar import (
 from .zsym import XPoly, ZLaurent, _e_table, x_to_z
 
 
-@dataclass
-class StructureReport:
+class StructureReport(NamedTuple):
     """Expansion of one relation at one n, with pass/fail bookkeeping.
 
     `coefficients` maps offsets k to the computed coefficient of
@@ -135,7 +133,7 @@ class StructureReport:
     coefficients: dict[int, Scalar]
     bandwidth: tuple[int, int]
     status: str
-    residuals: list[tuple[str, Scalar]] = field(default_factory=list)
+    residuals: Sequence[tuple[str, Scalar]] = ()
 
     def record(self) -> dict:
         rec = {
@@ -549,7 +547,9 @@ def _xrow_floats(f: XRows, q0s: tuple[float, ...]) -> list[list[float]]:
     Each row is unpacked once.  A digit c of t^e adds c / 2^shift, the
     correctly rounded quotient that float(Fraction(c, 2^shift)) also
     gives, times q0^(e/4) from a table of q0's powers; a row's terms are
-    summed in slot order.
+    added left to right in slot order, from 0.0.  `sum` is avoided: from
+    Python 3.12 on it compensates float sums, which would make the floats
+    depend on the interpreter's version.
     """
     rows, shift, w, g = f
     den = 1 << shift
@@ -558,7 +558,13 @@ def _xrow_floats(f: XRows, q0s: tuple[float, ...]) -> list[list[float]]:
     out = []
     for q0 in q0s:
         pw = {e: q0 ** (0.25 * e) for e in exps}
-        out.append([sum([c / den * pw[e] for e, c in d.items()], 0.0) for d in digits])
+        row = []
+        for d in digits:
+            s = 0.0
+            for e, c in d.items():
+                s += c / den * pw[e]
+            row.append(s)
+        out.append(row)
     return out
 
 
@@ -593,8 +599,7 @@ def verify_proposition(
     return list(iter_proposition_reports(nmax, fam))
 
 
-@dataclass
-class BandwidthSummary:
+class BandwidthSummary(NamedTuple):
     """Aggregate of the D_q relation's shape over 2 <= n <= nmax."""
 
     nmax: int

@@ -1,5 +1,6 @@
 """The command-line surface: records, formats, exit codes."""
 
+import fractions
 import json
 import os
 import platform
@@ -92,6 +93,41 @@ def test_info(capsys):
     code, text, _ = run(capsys, "info")
     assert code == 0
     assert text.startswith("backend=%s qaw=%s " % (rec["backend"], rec["qaw"]))
+
+
+FRACTION_NOTE = (
+    "note: gmpy2 is not installed; exact arithmetic ran on fractions.Fraction\n"
+)
+SMALL_VERIFY = (
+    ("proposition", "--n-max", "2"),
+    ("proof", "--k-samples", "2"),
+    ("numeric", "--n-max", "1"),
+    ("oracle", "--n-max", "1"),
+)
+
+
+def test_verify_notes_the_fraction_backend(capsys, monkeypatch):
+    gmpy_like = type("mpq", (), {"__module__": "gmpy2"})
+    for argv in SMALL_VERIFY:
+        monkeypatch.setattr(qaw.cli, "Rat", fractions.Fraction)
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, err) == (0, FRACTION_NOTE), argv
+        # the note is the only difference: stdout is the same on any backend
+        monkeypatch.setattr(qaw.cli, "Rat", gmpy_like)
+        assert run(capsys, "verify", *argv) == (0, out, ""), argv
+
+
+def test_other_commands_keep_stderr_empty(capsys, monkeypatch):
+    monkeypatch.setattr(qaw.cli, "Rat", fractions.Fraction)
+    for argv in (
+        ("show", "--n", "2"),
+        ("eval", "--n", "2", "--q", "0.5", "--x", "2.0"),
+        ("info",),
+        ("expand", "--degree-poly", "x^2"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert out
 
 
 def test_verify_proposition_base_case(capsys):

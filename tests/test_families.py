@@ -1,14 +1,22 @@
 """Recurrence families, closed-form coefficients, and the hypergeometric oracle."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
+from qaw import families
 from qaw.awcore import ALPHA
+from qaw.cli import main
 from qaw.families import (
     ALPHA_SYM,
     B_SYM,
     C_SYM,
     COUNTEREXAMPLE_PARAMS,
     GAMMA_SYM,
+    CoeffSuite,
     FamilyParams,
     OPSFamily,
     aw_hyp_poly,
@@ -151,6 +159,112 @@ def test_suite_closed_forms_cohere():
     assert not inst.d_k5.has_u
     with pytest.raises(ValueError):
         coeff_suite(symbolic=False)
+
+
+def reference_suite() -> CoeffSuite:
+    """The suite's formulas on Scalars, with gamma_n as the one division.
+
+    The independent build that `coeff_suite` is checked against: every
+    product here runs on Fraction coefficients, and c_{n,1} comes from
+    (alpha^2 - 1) gamma_n rather than from its Laurent form.
+    """
+    al, ga, B, C, c = ALPHA_SYM, GAMMA_SYM, B_SYM, C_SYM, c_SYM
+    a = ALPHA
+    a2m1 = a * a - ONE
+
+    Bm1 = B.shift_n(-1)
+    Bp1 = B.shift_n(1)
+    Bm2 = B.shift_n(-2)
+    Cm1 = C.shift_n(-1)
+    Cp1 = C.shift_n(1)
+    Cm2 = C.shift_n(-2)
+    cm1 = c.shift_n(-1)
+    cp1 = c.shift_n(1)
+
+    c1 = a2m1 * ga
+    c2 = cp1 - a * c + (ONE - a) * al * B
+    c3 = (B - a * Bm1) * c + (ONE - a * a) * ga * C
+    c4 = cm1 * C - a * c * Cm1
+
+    d1 = a2m1 * al + a * c1
+    d2 = a2m1 * (c + al * (B + Bp1)) + a * c2 - (B - a * Bp1) * c1
+    d3 = (
+        a2m1 * ((B + Bm1) * c + al * (B * B + C + Cp1 - ONE))
+        + a * c1 * Cp1
+        - c1.shift_n(-1) * C
+        + (a - ONE) * c2 * B
+        + a * c3
+    )
+    d4 = (
+        a2m1 * ((B + Bm1) * al * C + (C + Bm1 * Bm1 + Cm1 - ONE) * c)
+        - (c2.shift_n(-1) - a * c2) * C
+        - (B - a * Bm1) * c3
+        + a * c4
+    )
+    d5 = (
+        a2m1 * Cm1 * (al * C + c * (Bm1 + Bm2))
+        + a * c3 * Cm1
+        - c3.shift_n(-1) * C
+        - (B - a * Bm2) * c4
+    )
+    d6 = a2m1 * c * Cm1 * Cm2 + a * c4 * Cm2 - c4.shift_n(-1) * C
+
+    return CoeffSuite(al, ga, B, C, c, c1, c2, c3, c4, d1, d2, d3, d4, d5, d6)
+
+
+def suite_mismatches(suite: CoeffSuite, ref: CoeffSuite) -> list[str]:
+    """Members that differ in value or in their stored terms."""
+
+    def terms(s):
+        return list(s.numerator_terms()), list(s.denominator_terms())
+
+    return [
+        name
+        for name, got, want in zip(CoeffSuite._fields, suite, ref)
+        if got != want or terms(got) != terms(want)
+    ]
+
+
+def test_suite_matches_the_fraction_build():
+    suite, ref = coeff_suite(), reference_suite()
+    assert len(suite) == 15
+    assert suite_mismatches(suite, ref) == []
+    assert [m.is_laurent for m in suite] == [f != "gamma_n" for f in CoeffSuite._fields]
+
+
+def test_sign_flipped_c_n1_is_caught(monkeypatch, capsys):
+    flipped = {k: -v for k, v in families._C_N1.items()}
+    monkeypatch.setattr(families, "_C_N1", flipped)
+    # the members that read c_{n,1} change with it
+    assert suite_mismatches(families._build_symbolic_suite(), reference_suite()) == [
+        "c_n1", "c_n3", "d_k1", "d_k2", "d_k3", "d_k4", "d_k5",
+    ]
+    # `verify proof` reads the flipped suite: seven step certificates
+    # turn nonzero and the command fails
+    monkeypatch.setattr(families, "_SYMBOLIC_SUITE", None)
+    assert main(["verify", "proof", "--format", "json"]) == 1
+    recs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["name"] for r in recs if r.get("verdict") == "nonzero"] == [
+        "sq-offset-m1-cancels", "sq-alpha-advance", "dq-offset-p2",
+        "dq-offset-p1", "dq-offset-0", "dq-offset-m1", "dq-offset-m2-cancels",
+    ]
+
+
+def test_import_and_suite_load_no_dataclasses():
+    # dataclasses pulls in inspect, ast, dis and tokenize: a cold start
+    # of every command paid for them before the records became tuples
+    code = (
+        "import sys; before = set(sys.modules); import qaw; qaw.coeff_suite(); "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(families.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=60,
+    ).stdout.split()
+    assert "qaw.families" in out
+    assert not {"dataclasses", "inspect", "ast"} & set(out)
 
 
 def test_c_positivity_at_sampled_q():

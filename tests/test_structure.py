@@ -1,5 +1,6 @@
 """Basis expansion and the per-index verification of both relations."""
 
+import itertools
 import random
 
 import pytest
@@ -283,6 +284,26 @@ def test_neighbourhood_bandwidths(label):
         if rep.check == "dq-relation":
             ref = _expand_sym(u2z * ctx.dq_sym(fam.zpoly(rep.n)), fam)
             assert rep.coefficients == {k - rep.n: v for k, v in ref.items()}
+
+
+# the grid of ROADMAP item 2 at base t^2: every 3-subset of
+# {1, -1, t, -t, t^2} as (a, b, c), the family being symmetric in them
+GRID_VALUES = {"1": ONE, "-1": rational(-1), "t": tpow(1), "-t": -tpow(1), "t^2": tpow(2)}
+GRID = [",".join(labels) for labels in itertools.combinations(GRID_VALUES, 3)]
+
+
+@pytest.mark.parametrize("label", GRID)
+def test_neighbourhood_grid(label):
+    labels = label.split(",")
+    a, b, c = (GRID_VALUES[v] for v in labels)
+    summary = bandwidth_scan(dual_qhahn_family(FamilyParams(a, b, c, tpow(2))), u2(), 8)
+    # the four 3-subsets of {1, -1, t, -t} keep (2, 1) with c_{n,4} != 0;
+    # the six sets with t^2 have r = n, up to r = 8
+    bounded = "t^2" not in labels
+    assert summary.rows == [(n, 2 if bounded else n, 1) for n in range(2, 9)]
+    assert summary.status == ("pass" if bounded else "fail")
+    if bounded:
+        assert summary.offset_m2_all_nonzero
 
 
 def test_stride_follows_the_data():
