@@ -1,8 +1,9 @@
 """Exact kernel for Askey-Wilson divided-difference operators.
 
-Everything runs over the field Q(t, u) with t = q^(1/4) and u tracking
-the family index symbolically, so identities can be certified either
-for one index at a time or once for all indices.
+Everything runs over the Laurent ring Q[t^+-1, u^+-1], with exact
+division, t = q^(1/4) and u tracking the family index symbolically, so
+identities can be certified either for one index at a time or once for
+all indices.
 """
 
 from .awcore import ALPHA, ALPHA2M1, OperatorContext, context, dq_apply, sq_apply, u2

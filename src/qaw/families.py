@@ -13,16 +13,22 @@ whose recurrence coefficients also have the closed forms
     B_n = ((1 + t^-2) u + 1 - t^-2) u t / 2,
     C_n = (1 + u t^-2)(1 - u)(1 - u^2 t^-2) / 4,        u = t^(2n),
 
-written directly in the two-variable scalar ring.  The closed forms are
-the constructors; the dual q-Hahn substitution is kept separate so the
-two derivations can be checked against each other.
+written directly in the Laurent ring Q[t^+-1, u^+-1].  The closed forms
+are the constructors; the dual q-Hahn substitution is kept separate so
+the two derivations can be checked against each other.  Its parameter
+a and its base are nonzero monomials, which keeps every a_n and b_n in
+the ring: the display divides by both.
 
 `coeff_suite` collects the full set of named scalars that the structure
 relations and their inductive certification are phrased with, either
-symbolic in u or instantiated at a concrete index.  Negative indices
-(B_{-1} and friends) are meaningful ring elements by the same formulas;
-only products against the zero polynomials p_{-1}, p_{-2} are dropped,
-and that happens at the verification layer, not here.
+symbolic in u or instantiated at a concrete index; every one of them is
+a Laurent polynomial.  Negative indices (B_{-1} and friends) are
+meaningful ring elements by the same formulas; only products against
+the zero polynomials p_{-1}, p_{-2} are dropped, and that happens at the
+verification layer, not here.
+
+`aw_hyp_poly` is the independent construction of the same polynomials
+from their terminating 4phi3 sum, which ends with one exact division.
 """
 
 from __future__ import annotations
@@ -103,18 +109,26 @@ class _FamilyFields(NamedTuple):
     base: Scalar
 
 
+def _check_monomial(name: str, v: Scalar) -> None:
+    if not v.is_monomial:
+        raise ValueError("%s must be a nonzero monomial c t^i u^j" % name)
+
+
 class FamilyParams(_FamilyFields):
     """Parameters (a, b, c | base) of a continuous dual q-Hahn family.
 
     The base is a Scalar so that the counterexample's base t^2 and any
-    generic base go through the same code path.
+    generic base go through the same code path.  a and base must be
+    nonzero monomials, or ValueError: the recurrence divides by both.
     """
 
     __slots__ = ()
 
     def __new__(cls, a: Scalar, b: Scalar, c: Scalar, base: Scalar):
-        if base.is_zero or base.is_one:
-            raise ValueError("family base must differ from 0 and 1")
+        _check_monomial("parameter a", a)
+        _check_monomial("family base", base)
+        if base.is_one:
+            raise ValueError("family base must differ from 1")
         return super().__new__(cls, a, b, c, base)
 
 
@@ -163,7 +177,6 @@ C_SYM = (ONE + U * tpow(-2)) * (ONE - U) * (ONE - U * U * tpow(-2)) * _QUARTER
 c_SYM = C_SYM / U * T
 
 ALPHA_SYM = (U + upow(-1)) * HALF
-GAMMA_SYM = (U - upow(-1)) / (tpow(2) - tpow(-2))
 
 
 def counterexample_family() -> OPSFamily:
@@ -178,14 +191,14 @@ def counterexample_family() -> OPSFamily:
 class CoeffSuite(NamedTuple):
     """Every named scalar of the structure relations at one index.
 
-    In symbolic mode the index is u itself and neighbours are reached
-    by shift_n; instantiated mode substitutes u = t^(2n) throughout.
-    The d_k3 member uses the index-k reading of its B factor; the
-    certification layer also examines the alternative.
+    Each member is a Laurent polynomial in t and u.  In symbolic mode
+    the index is u itself and neighbours are reached by shift_n;
+    instantiated mode substitutes u = t^(2n) throughout.  The d_k3
+    member uses the index-k reading of its B factor; the certification
+    layer also examines the alternative.
     """
 
     alpha_n: Scalar
-    gamma_n: Scalar
     B_n: Scalar
     C_n: Scalar
     c_n: Scalar
@@ -249,21 +262,20 @@ class _Dyadic:
 
     def scalar(self) -> Scalar:
         den = 1 << self.e
-        return Scalar({k: Rat(c, den) for k, c in self.d.items()}, {0: Rat(1)})
+        return Scalar({k: Rat(c, den) for k, c in self.d.items()})
 
 
-# c_{n,1} = (alpha^2 - 1) gamma_n in Laurent form: alpha^2 - 1 is
-# (t^2 - t^-2)^2 / 4, so gamma_n's denominator t^2 - t^-2 cancels and
-# c_{n,1} = (t^2 - t^-2)(u - u^-1) / 4, stored here times 4
+# c_{n,1} = (alpha^2 - 1)(u - u^-1)/(t^2 - t^-2) in Laurent form: alpha^2 - 1
+# is (t^2 - t^-2)^2 / 4, so c_{n,1} = (t^2 - t^-2)(u - u^-1) / 4, stored
+# here times 4
 _C_N1 = {_pack(2, 1): 1, _pack(2, -1): -1, _pack(-2, 1): -1, _pack(-2, -1): 1}
 
 
 def _build_symbolic_suite() -> CoeffSuite:
     """The suite's formulas, evaluated once over Z[1/2][t^+-1, u^+-1].
 
-    gamma_n is the one member that is not Laurent; it enters the
-    formulas only through c_{n,1}, whose Laurent form is `_C_N1`, so the
-    term (1 - alpha^2) gamma_n C_n of c_{n,3} is -c_{n,1} C_n.
+    c_{n,1} is `_C_N1`, and the paper's term (1 - alpha^2) gamma_n C_n of
+    c_{n,3}, with gamma_n = (u - u^-1)/(t^2 - t^-2), is -c_{n,1} C_n.
     """
     al, B, C, c = map(_Dyadic.of, (ALPHA_SYM, B_SYM, C_SYM, c_SYM))
     a = _Dyadic({_pack(2, 0): 1, _pack(-2, 0): 1}, 1)  # alpha = (t^2 + t^-2)/2
@@ -308,26 +320,22 @@ def _build_symbolic_suite() -> CoeffSuite:
     d6 = a2m1 * c * Cm1 * Cm2 + a * c4 * Cm2 - c4.shift_n(-1) * C
 
     laurent = (c1, c2, c3, c4, d1, d2, d3, d4, d5, d6)
-    return CoeffSuite(
-        ALPHA_SYM, GAMMA_SYM, B_SYM, C_SYM, c_SYM, *(m.scalar() for m in laurent)
-    )
+    return CoeffSuite(ALPHA_SYM, B_SYM, C_SYM, c_SYM, *(m.scalar() for m in laurent))
 
 
 _SYMBOLIC_SUITE: CoeffSuite | None = None
 _SUITE_LOCK = threading.Lock()
 
 
-def coeff_suite(symbolic: bool = True, n: int | None = None) -> CoeffSuite:
-    """The coefficient suite, symbolic in u or instantiated at n."""
+def coeff_suite(n: int | None = None) -> CoeffSuite:
+    """The coefficient suite, symbolic in u, or instantiated at n if given."""
     global _SYMBOLIC_SUITE
     with _SUITE_LOCK:
         if _SYMBOLIC_SUITE is None:
             _SYMBOLIC_SUITE = _build_symbolic_suite()
         suite = _SYMBOLIC_SUITE
-    if symbolic:
-        return suite
     if n is None:
-        raise ValueError("instantiated suite needs the index n")
+        return suite
     return CoeffSuite._make(m.instantiate_n(n) for m in suite)
 
 
@@ -353,12 +361,18 @@ def aw_hyp_poly(
     scalar.  No division happens inside the sum: term k carries its
     numerator product times the suffix product of the later terms'
     denominators, which only perturbs the overall scale, and the one
-    true division is the final monic normalisation.
+    true division is the final monic normalisation.  That divides each
+    coefficient by the leading one, and by Gauss's lemma it is exact
+    wherever the monic p_n has Laurent coefficients: for d = 0 and
+    monomial a, b, c, the continuous dual q-Hahn case that every caller
+    builds.  Otherwise, as for most d != 0, it raises ExactDivisionError.
+    base must be a nonzero monomial, or ValueError.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
     if a.is_zero:
         raise ValueError("parameter a must be nonzero")
+    _check_monomial("base", base)
     q = base
     qmn = q ** (-n)
     big = a * b * c * d * q ** (n - 1)
@@ -395,4 +409,5 @@ def aw_hyp_poly(
     f = z_to_x(total)
     if f.degree != n or f.leading.is_zero:
         raise ValueError("degenerate parameters: leading coefficient vanished")
-    return f.scale(ONE / f.leading)
+    lead = f.leading
+    return XPoly(c / lead for c in f.coeffs())

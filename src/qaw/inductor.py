@@ -10,8 +10,8 @@ the suite coefficients: four behind the S_q advance,
 
 and six behind the D_q advance: d_{k,i} = c_{k+1,i} for i = 1..4 plus
 d_{k,5} = 0 and d_{k,6} = 0.  Each is verified here as an exact zero in
-the fraction field of Q[t, u], which covers every k at once; the
-per-index sweep in `structure` is the independent finite witness.
+Q[t^+-1, u^+-1], which covers every k at once; the per-index sweep in
+`structure` is the independent finite witness.
 
 The d_{k,3} display is ambiguous in one spot: its (alpha-1) c_{k,2} B
 term carries an index that does not match the surrounding k-indexed
@@ -71,7 +71,7 @@ class _Neighborhood:
             base = coeff_suite()
             self.at = {j: _shift_suite(base, j) for j in (-1, 0, 1)}
         else:
-            self.at = {j: coeff_suite(symbolic=False, n=k + j) for j in (-1, 0, 1)}
+            self.at = {j: coeff_suite(k + j) for j in (-1, 0, 1)}
 
 
 def _sq_residuals(nb: _Neighborhood) -> list[tuple[str, Scalar, str]]:
@@ -102,20 +102,16 @@ def _sq_residuals(nb: _Neighborhood) -> list[tuple[str, Scalar, str]]:
     ]
 
 
-def _laurent_note(*vals: Scalar) -> str:
-    return (
-        "sides clear denominators"
-        if all(v.is_laurent for v in vals)
-        else "sides carry polynomial denominators"
-    )
+# every suite member is a Laurent polynomial
+_NOTE = "sides clear denominators"
 
 
 def _dq_residuals(nb: _Neighborhood) -> list[tuple[str, Scalar, str]]:
     s, sp = nb.at[0], nb.at[1]
     a = ALPHA
     out = [
-        ("dq-offset-p2", s.d_k1 - sp.c_n1, _laurent_note(s.d_k1, sp.c_n1)),
-        ("dq-offset-p1", s.d_k2 - sp.c_n2, _laurent_note(s.d_k2, sp.c_n2)),
+        ("dq-offset-p2", s.d_k1 - sp.c_n1, _NOTE),
+        ("dq-offset-p1", s.d_k2 - sp.c_n2, _NOTE),
     ]
     # the ambiguous B factor of d_k3: suite adopts index k, the
     # alternative shifts that one factor to k+1
@@ -135,14 +131,14 @@ def _dq_residuals(nb: _Neighborhood) -> list[tuple[str, Scalar, str]]:
         (
             "dq-offset-0",
             res_k,
-            "; ".join(reading) + "; " + _laurent_note(s.d_k3, sp.c_n3),
+            "; ".join(reading) + "; " + _NOTE,
         )
     )
     out.extend(
         [
-            ("dq-offset-m1", s.d_k4 - sp.c_n4, _laurent_note(s.d_k4, sp.c_n4)),
-            ("dq-offset-m2-cancels", s.d_k5, _laurent_note(s.d_k5)),
-            ("dq-offset-m3-cancels", s.d_k6, _laurent_note(s.d_k6)),
+            ("dq-offset-m1", s.d_k4 - sp.c_n4, _NOTE),
+            ("dq-offset-m2-cancels", s.d_k5, _NOTE),
+            ("dq-offset-m3-cancels", s.d_k6, _NOTE),
         ]
     )
     return out
@@ -168,8 +164,8 @@ def _poly_residual_cert(name: str, diff: XPoly, note: str = "") -> IdentityCerti
 
 def certify_base_case() -> list[IdentityCertificate]:
     """The n = 0 statements, instantiated and operator-checked."""
-    s0 = coeff_suite(symbolic=False, n=0)
-    c1 = coeff_suite(symbolic=False, n=1).c_n
+    s0 = coeff_suite(0)
+    c1 = coeff_suite(1).c_n
     fam = counterexample_family()
     ctx = context()
     p0 = fam.poly(0)

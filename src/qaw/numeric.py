@@ -68,15 +68,13 @@ class NumericConfig(_NumericFields):
         return "q in %s, x in %s" % (list(self.q_samples), list(self.x_samples))
 
 
-def eval_poly(
-    f: XPoly | list[float], q0: float, x0: float, n_ctx: int | None = None
-) -> float:
+def eval_poly(f: XPoly | list[float], q0: float, x0: float) -> float:
     """Horner evaluation with every coefficient instantiated at q0.
 
-    f is an XPoly, or the list of its coefficients already evaluated at
-    q0, lowest degree first.
+    f is an XPoly with u-free coefficients, or the list of its
+    coefficients already evaluated at q0, lowest degree first.
     """
-    cs = f if isinstance(f, list) else [c.evaluate(q0, n_ctx) for c in f.coeffs()]
+    cs = f if isinstance(f, list) else [c.evaluate(q0) for c in f.coeffs()]
     acc = 0.0
     for c in reversed(cs):
         acc = acc * x0 + c
@@ -91,24 +89,20 @@ def _lattice_pair(q0: float, x0: float) -> tuple[float, float]:
     return 0.5 * (zp + 1.0 / zp), 0.5 * (zm + 1.0 / zm)
 
 
-def lattice_dq(
-    f: XPoly | list[float], q0: float, x0: float, n_ctx: int | None = None
-) -> float:
+def lattice_dq(f: XPoly | list[float], q0: float, x0: float) -> float:
     """D_q f at x0 straight from the difference quotient."""
     if abs(x0) <= 1.0:
         raise ValueError("lattice evaluation needs |x| > 1")
     xp, xm = _lattice_pair(q0, x0)
-    return (eval_poly(f, q0, xp, n_ctx) - eval_poly(f, q0, xm, n_ctx)) / (xp - xm)
+    return (eval_poly(f, q0, xp) - eval_poly(f, q0, xm)) / (xp - xm)
 
 
-def lattice_sq(
-    f: XPoly | list[float], q0: float, x0: float, n_ctx: int | None = None
-) -> float:
+def lattice_sq(f: XPoly | list[float], q0: float, x0: float) -> float:
     """S_q f at x0 as the plain average of the shifted values."""
     if abs(x0) <= 1.0:
         raise ValueError("lattice evaluation needs |x| > 1")
     xp, xm = _lattice_pair(q0, x0)
-    return 0.5 * (eval_poly(f, q0, xp, n_ctx) + eval_poly(f, q0, xm, n_ctx))
+    return 0.5 * (eval_poly(f, q0, xp) + eval_poly(f, q0, xm))
 
 
 def _rel_dev(a: float, b: float, abs_tol: float) -> float:

@@ -86,7 +86,7 @@ width w common to the whole sweep and B >= max |coeff f|:
   for, each digit c of t^e as the correctly rounded c / 2^shift times
   q0^(e/4) from a table of q0's powers, summed in slot order.
 
-`expand_in_basis` expands any x-polynomial over Q(t, u) instead, on
+`expand_in_basis` expands any x-polynomial over Q[t^+-1, u^+-1] instead, on
 the family's cached z-forms Z_k.  Z_k has top coefficient 2^-k, so each
 step of its leading-term elimination is one scaled subtraction.
 """
@@ -248,10 +248,9 @@ class _Widen(Exception):
 
 
 def _int_laurent(s: Scalar, scale: int) -> dict[int, int]:
-    """scale * s as {t-exp: int}; ValueError unless integral, Laurent and u-free."""
-    laurent = s.is_laurent
-    terms = [(i, j, c * scale) for i, j, c in s.laurent_terms()] if laurent else []
-    if not laurent or any(j or c.denominator != 1 for _, j, c in terms):
+    """scale * s as {t-exp: int}; ValueError unless integral and u-free."""
+    terms = [(i, j, c * scale) for i, j, c in s.laurent_terms()]
+    if any(j or c.denominator != 1 for _, j, c in terms):
         raise ValueError("the integer kernel needs integral 2 a_n and 4 b_n in t")
     return {i: int(c) for i, _, c in terms}
 

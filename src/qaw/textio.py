@@ -11,6 +11,10 @@ Grammar (whitespace free):
     term     :=  factor (("*" | "/") factor)*
     factor   :=  ["-"] atom ["^" ["-"] INTEGER]
     atom     :=  INTEGER | "t" | "u" | "x" | "(" expr ")"
+
+Every value stays in Q[t^+-1, u^+-1][x]: a "/" or a negative power is
+accepted only where the quotient is a Laurent polynomial, such as
+(t^2 - 1)/(t - 1) or t^-3, and any other is refused at its operator.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import json
 import math
 from typing import NamedTuple
 
-from .scalar import MAX_EXPONENT, Rat, Scalar, tpow, upow, rational, ONE
+from .scalar import MAX_EXPONENT, ExactDivisionError, Rat, Scalar, tpow, upow, rational
 from .scalar import _max_exponent
 from .zsym import XPoly, ZLaurent
 
@@ -38,14 +42,15 @@ class ParseError(ValueError):
 
 _OPS = set("+-*/^()")
 _RANGE_MSG = "exponent beyond the supported range |e| <= %d" % MAX_EXPONENT
+_RING_MSG = "result is not a Laurent polynomial in t and u"
 
 # The most terms that a power v^e in the parser may hold, predicted
 # before it is computed.  v^e is stored as S = deg v * |e| + 1 slots, one
-# fraction per power of x; N bounds the numerator monomials x^i t^j u^k
-# of all slots together and D the denominator monomials of one slot, both
-# from `_monomial_count`, and the prediction is max(S, N) + S * D.  A
-# power beyond it is refused at the "^".  Powers of t-u monomials and of
-# rational constants predict 2 and are bounded by MAX_EXPONENT instead.
+# Scalar per power of x; N bounds the monomials x^i t^j u^k of all slots
+# together, from `_monomial_count`, and the prediction is max(S, N) + S,
+# the terms and one entry per slot.  A power beyond it is refused at the
+# "^".  Powers of t-u monomials and of rational constants predict 2 and
+# are bounded by MAX_EXPONENT instead.
 MAX_POWER_TERMS = 1 << 10
 _SIZE_MSG = "power beyond the supported range of %d terms" % MAX_POWER_TERMS
 
@@ -61,12 +66,10 @@ def _monomial_count(exps: set[tuple[int, ...]], e: int) -> int:
 
 def _power_size(v: XPoly, e: int) -> int:
     """The predicted number of terms of v^e, v nonzero; see MAX_POWER_TERMS."""
-    coeffs = list(enumerate(v.coeffs()))
-    num = {(i, j, k) for i, c in coeffs for j, k, _ in c.numerator_terms()}
-    den = {(j, k) for _, c in coeffs for j, k, _ in c.denominator_terms()}
+    terms = {(i, j, k) for i, c in enumerate(v.coeffs()) for j, k, _ in c.laurent_terms()}
     e = abs(e)
     slots = v.degree * e + 1
-    return max(slots, _monomial_count(num, e)) + slots * _monomial_count(den, e)
+    return max(slots, _monomial_count(terms, e)) + slots
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -154,7 +157,10 @@ class _Parser:
                         raise ParseError("cannot divide by a polynomial in x", pos)
                     if not w:
                         raise ParseError("division by zero", pos)
-                    v = v.scale(ONE / w.coeff(0))
+                    try:
+                        v = XPoly(c / w.coeff(0) for c in v.coeffs())
+                    except ExactDivisionError:
+                        raise ParseError(_RING_MSG, pos) from None
                 v = self._checked(v, pos)
             else:
                 return v
@@ -196,6 +202,8 @@ class _Parser:
             return c ** e
         except OverflowError:
             raise ParseError(_RANGE_MSG, pos) from None
+        except ExactDivisionError:
+            raise ParseError(_RING_MSG, pos) from None
 
     @staticmethod
     def _zero_pow(e: int, pos: int) -> XPoly:
@@ -252,14 +260,11 @@ class _Style(NamedTuple):
     frac: str  # a positive non-integer rational, from (numerator, denominator)
     power: str  # a variable to an exponent other than 0 and 1
     product: str  # the separator between factors
-    quotient: str  # a fraction that is not Laurent, from (numerator, denominator)
     paren: str  # a coefficient of more than one term
 
 
-_TEXT = _Style("(%d/%d)", "%s^%d", "*", "(%s)/(%s)", "(%s)")
-_LATEX = _Style(
-    r"\tfrac{%d}{%d}", "%s^{%d}", "", r"\frac{%s}{%s}", r"\left(%s\right)"
-)
+_TEXT = _Style("(%d/%d)", "%s^%d", "*", "(%s)")
+_LATEX = _Style(r"\tfrac{%d}{%d}", "%s^{%d}", "", r"\left(%s\right)")
 
 
 def _power(var: str, e: int, st: _Style) -> str:
@@ -297,34 +302,23 @@ def _render_terms(terms, st: _Style) -> str:
     )
 
 
-def _scalar(s: Scalar, st: _Style) -> str:
-    if s.is_laurent:
-        return _render_terms(s.laurent_terms(), st)
-    return st.quotient % (
-        _render_terms(s.numerator_terms(), st),
-        _render_terms(s.denominator_terms(), st),
-    )
-
-
 def _var_poly(pairs, var: str, st: _Style) -> str:
     """The sum of c var^e over the (e, c) pairs, in their order.
 
-    A one-term Laurent c is written as a signed product with the power of
-    var, any other c in parentheses in front of it.
+    A one-term c is written as a signed product with the power of var,
+    any other c in parentheses in front of it.
     """
     parts = []
     for e, c in pairs:
         vp = _power(var, e, st)
-        terms = list(c.laurent_terms()) if c.is_laurent else None
-        if terms is not None and len(terms) == 1:
+        terms = list(c.laurent_terms())
+        if len(terms) == 1:
             ((i, j, r),) = terms
             parts.append(
                 _signed_term(r, [_power("t", i, st), _power("u", j, st), vp], st)
             )
         else:
-            body = st.paren % (
-                _scalar(c, st) if terms is None else _render_terms(terms, st)
-            )
+            body = st.paren % _render_terms(terms, st)
             parts.append((False, st.product.join((body, vp)) if vp else body))
     return _join_signed(parts)
 
@@ -335,11 +329,11 @@ def _xpairs(f: XPoly) -> list[tuple[int, Scalar]]:
 
 
 def render_scalar(s: Scalar) -> str:
-    return _scalar(s, _TEXT)
+    return _render_terms(s.laurent_terms(), _TEXT)
 
 
 def latex_scalar(s: Scalar) -> str:
-    return _scalar(s, _LATEX)
+    return _render_terms(s.laurent_terms(), _LATEX)
 
 
 def render_xpoly(f: XPoly) -> str:

@@ -15,7 +15,8 @@ T2 = tpow(2)
 
 
 def gamma_at(n):
-    return ((U - upow(-1)) / (T2 - tpow(-2))).instantiate_n(n)
+    """The q-integer (t^(2n) - t^(-2n)) / (t^2 - t^-2), by exact division."""
+    return (tpow(2 * n) - tpow(-2 * n)) / (T2 - tpow(-2))
 
 
 def alpha_at(n):
@@ -149,10 +150,11 @@ def test_closed_forms_match_definition():
     ctx = context()
     delta = delta_half_step()
     rng = random.Random(34)
-    gamma = (U - upow(-1)) / (T2 - tpow(-2))
+    # c_{n,1} = (alpha^2 - 1)(u - u^-1)/(t^2 - t^-2), by exact division
+    c_n1 = ALPHA2M1 * (U - upow(-1)) / (T2 - tpow(-2))
     cases = [rand_sympoly(rng, deg) for deg in range(9) for _ in range(3)]
-    cases.append(ZLaurent({2: gamma, 0: ONE + gamma, -2: gamma}))
-    cases.append(ZLaurent({1: gamma, -1: gamma}))
+    cases.append(ZLaurent({2: c_n1, 0: ONE + c_n1, -2: c_n1}))
+    cases.append(ZLaurent({1: c_n1, -1: c_n1}))
     for f in cases:
         plus, minus = z_scale(f, 1), z_scale(f, -1)
         assert ctx.dq_sym(f) == (plus - minus).divide_exact(delta)

@@ -4,6 +4,8 @@ import fractions
 import json
 import os
 import platform
+import subprocess
+import sys
 
 import pytest
 
@@ -250,6 +252,27 @@ def test_expand(capsys):
     assert [r["index"] for r in recs] == [0, 1, 2, 3]
     assert recs[2]["coefficient"] == "1"
     assert recs[3]["coefficient"] == "0"
+
+
+def test_expand_quotient_outside_the_ring(capsys):
+    # an exact quotient stays in Q[t^+-1, u^+-1] and expands
+    code, out, _ = run(capsys, "expand", "--degree-poly", "(t^2-1)/(t-1)*x")
+    assert code == 0
+    assert out.splitlines()[1] == 'index=1 coefficient="t + 1"'
+    for text, pos in (("x/(1+t)", 1), ("(1+t)^-1", 5), ("x + u/(u - 1)", 5)):
+        code, out, err = run(capsys, "expand", "--degree-poly", text)
+        assert (code, out) == (2, "")
+        assert err == "error: position %d: result is not a Laurent polynomial in t and u\n" % pos
+    # and the installed command prints that one line, with no traceback
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qaw.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qaw.cli", "expand", "--degree-poly", "x/(1+t)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "error: position 1: result is not a Laurent polynomial in t and u"
+    ]
 
 
 def test_expand_malformed_poly(capsys):

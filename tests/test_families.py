@@ -15,7 +15,6 @@ from qaw.families import (
     B_SYM,
     C_SYM,
     COUNTEREXAMPLE_PARAMS,
-    GAMMA_SYM,
     CoeffSuite,
     FamilyParams,
     OPSFamily,
@@ -28,7 +27,7 @@ from qaw.families import (
     qpochhammer,
     ttrr_polys,
 )
-from qaw.scalar import HALF, ONE, Q, T, U, ZERO, rational, tpow, upow
+from qaw.scalar import HALF, ONE, Q, T, U, ZERO, ExactDivisionError, rational, tpow, upow
 from qaw.zsym import XPoly
 
 X = XPoly.x()
@@ -82,6 +81,15 @@ def test_family_params_validation():
         FamilyParams(ONE, ONE, T, ZERO)
     with pytest.raises(ValueError):
         FamilyParams(ONE, ONE, T, ONE)
+    # the recurrence divides by a and by the base, so both must be
+    # nonzero monomials, which keeps every a_n and b_n Laurent
+    for a, base in ((ONE + T, tpow(2)), (ZERO, tpow(2)), (ONE, tpow(2) + T), (T, ONE - U)):
+        with pytest.raises(ValueError, match="nonzero monomial"):
+            FamilyParams(a, ONE, T, base)
+    with pytest.raises(ValueError, match="nonzero monomial"):
+        aw_hyp_poly(2, ONE, ONE, T, ZERO, ONE + tpow(2))
+    p = FamilyParams(-HALF * T, ONE + T, upow(0), rational(3) * tpow(4))
+    assert dual_qhahn_rec_coeffs(p, p.base ** 3)[1] == dual_qhahn_family(p).rec_b(3)
 
 
 def test_dual_qhahn_examples():
@@ -134,14 +142,18 @@ def test_aw_hyp_poly_guards():
     # ab = 1 zeroes the denominator factor 1 - ab q^0 of the 4phi3 sum
     with pytest.raises(ValueError):
         aw_hyp_poly(2, tpow(2), tpow(-2), T, ZERO, tpow(4))
+    # with d != 0 the monic p_n leaves the ring, through factors
+    # 1 - abcd q^k, and its final division says so
+    with pytest.raises(ExactDivisionError):
+        aw_hyp_poly(1, ONE, -ONE, T, T, tpow(2))
 
 
 def test_suite_values_at_zero_and_one():
     s = coeff_suite()
     assert s.c_n.instantiate_n(0) == ZERO
     assert s.alpha_n.instantiate_n(0) == ONE
-    assert s.gamma_n.instantiate_n(1) == ONE
-    assert s.gamma_n.instantiate_n(0) == ZERO
+    assert s.c_n1.instantiate_n(1) == ALPHA * ALPHA - ONE
+    assert s.c_n1.instantiate_n(0) == ZERO
     c1 = s.c_n.instantiate_n(1)
     c0 = s.c_n.instantiate_n(0)
     assert c1 - ALPHA * c0 + (ONE - ALPHA) * s.alpha_n.instantiate_n(0) * B_at(0) == ZERO
@@ -152,25 +164,26 @@ def test_suite_closed_forms_cohere():
     assert s.B_n == B_SYM and s.C_n == C_SYM
     assert s.c_n == c_SYM
     assert s.c_n == C_SYM / U * T
-    assert s.alpha_n == ALPHA_SYM and s.gamma_n == GAMMA_SYM
+    assert s.alpha_n == ALPHA_SYM
     # instantiated mode substitutes every field consistently
-    inst = coeff_suite(symbolic=False, n=4)
+    inst = coeff_suite(4)
     assert inst.c_n2 == s.c_n2.instantiate_n(4)
     assert not inst.d_k5.has_u
-    with pytest.raises(ValueError):
-        coeff_suite(symbolic=False)
 
 
 def reference_suite() -> CoeffSuite:
-    """The suite's formulas on Scalars, with gamma_n as the one division.
+    """The suite's formulas on Scalars, with gamma_n's denominator as the
+    one division.
 
     The independent build that `coeff_suite` is checked against: every
     product here runs on Fraction coefficients, and c_{n,1} comes from
-    (alpha^2 - 1) gamma_n rather than from its Laurent form.
+    (alpha^2 - 1) gamma_n, gamma_n = (u - u^-1)/(t^2 - t^-2), by exact
+    division rather than from its Laurent form.
     """
-    al, ga, B, C, c = ALPHA_SYM, GAMMA_SYM, B_SYM, C_SYM, c_SYM
+    al, B, C, c = ALPHA_SYM, B_SYM, C_SYM, c_SYM
     a = ALPHA
     a2m1 = a * a - ONE
+    ga_num, ga_den = U - upow(-1), tpow(2) - tpow(-2)
 
     Bm1 = B.shift_n(-1)
     Bp1 = B.shift_n(1)
@@ -181,9 +194,9 @@ def reference_suite() -> CoeffSuite:
     cm1 = c.shift_n(-1)
     cp1 = c.shift_n(1)
 
-    c1 = a2m1 * ga
+    c1 = a2m1 * ga_num / ga_den
     c2 = cp1 - a * c + (ONE - a) * al * B
-    c3 = (B - a * Bm1) * c + (ONE - a * a) * ga * C
+    c3 = (B - a * Bm1) * c + (ONE - a * a) * ga_num * C / ga_den
     c4 = cm1 * C - a * c * Cm1
 
     d1 = a2m1 * al + a * c1
@@ -209,7 +222,7 @@ def reference_suite() -> CoeffSuite:
     )
     d6 = a2m1 * c * Cm1 * Cm2 + a * c4 * Cm2 - c4.shift_n(-1) * C
 
-    return CoeffSuite(al, ga, B, C, c, c1, c2, c3, c4, d1, d2, d3, d4, d5, d6)
+    return CoeffSuite(al, B, C, c, c1, c2, c3, c4, d1, d2, d3, d4, d5, d6)
 
 
 def suite_mismatches(suite: CoeffSuite, ref: CoeffSuite) -> list[str]:
@@ -227,9 +240,8 @@ def suite_mismatches(suite: CoeffSuite, ref: CoeffSuite) -> list[str]:
 
 def test_suite_matches_the_fraction_build():
     suite, ref = coeff_suite(), reference_suite()
-    assert len(suite) == 15
+    assert len(suite) == 14
     assert suite_mismatches(suite, ref) == []
-    assert [m.is_laurent for m in suite] == [f != "gamma_n" for f in CoeffSuite._fields]
 
 
 def test_sign_flipped_c_n1_is_caught(monkeypatch, capsys):
