@@ -36,8 +36,8 @@ from __future__ import annotations
 import threading
 from typing import Callable, NamedTuple
 
-from .scalar import Rat, Scalar, _pack, _padd, _pmul, _psub, _unpack
-from .scalar import tpow, upow, rational, HALF, ONE, T, U, ZERO
+from .awcore import ALPHA
+from .scalar import Rat, Scalar, tpow, upow, rational, HALF, ONE, T, U, ZERO
 from .zsym import XPoly, ZLaurent, z_to_x
 
 _QUARTER = rational(1, 4)
@@ -193,9 +193,7 @@ class CoeffSuite(NamedTuple):
 
     Each member is a Laurent polynomial in t and u.  In symbolic mode
     the index is u itself and neighbours are reached by shift_n;
-    instantiated mode substitutes u = t^(2n) throughout.  The d_k3
-    member uses the index-k reading of its B factor; the certification
-    layer also examines the alternative.
+    instantiated mode substitutes u = t^(2n) throughout.
     """
 
     alpha_n: Scalar
@@ -206,121 +204,24 @@ class CoeffSuite(NamedTuple):
     c_n2: Scalar
     c_n3: Scalar
     c_n4: Scalar
-    d_k1: Scalar
-    d_k2: Scalar
-    d_k3: Scalar
-    d_k4: Scalar
-    d_k5: Scalar
-    d_k6: Scalar
-
-
-def _shl(d: dict, s: int) -> dict:
-    return {k: c << s for k, c in d.items()} if s else d
-
-
-class _Dyadic:
-    """d / 2^e, with d an int dict over Scalar's packed (t, u) keys.
-
-    The suite's Laurent members are evaluated in this form: `_pmul` on
-    int coefficients costs a small fraction of the same product on
-    Fractions, and the formulas read as they do on Scalars.
-    """
-
-    __slots__ = ("d", "e")
-
-    def __init__(self, d: dict, e: int = 0):
-        self.d = d
-        self.e = e
-
-    @classmethod
-    def of(cls, s: Scalar) -> "_Dyadic":
-        """A Laurent scalar whose coefficients have power-of-two denominators."""
-        terms = list(s.laurent_terms())
-        e = max(c.denominator.bit_length() - 1 for _, _, c in terms)
-        return cls({_pack(i, j): int(c * (1 << e)) for i, j, c in terms}, e)
-
-    def _aligned(self, o: "_Dyadic") -> tuple[dict, dict, int]:
-        e = max(self.e, o.e)
-        return _shl(self.d, e - self.e), _shl(o.d, e - o.e), e
-
-    def __add__(self, o: "_Dyadic") -> "_Dyadic":
-        a, b, e = self._aligned(o)
-        return _Dyadic(_padd(a, b), e)
-
-    def __sub__(self, o: "_Dyadic") -> "_Dyadic":
-        a, b, e = self._aligned(o)
-        return _Dyadic(_psub(a, b), e)
-
-    def __mul__(self, o: "_Dyadic") -> "_Dyadic":
-        return _Dyadic(_pmul(self.d, o.d), self.e + o.e)
-
-    def shift_n(self, k: int) -> "_Dyadic":
-        """n -> n + k, i.e. u -> u t^(2k), as `Scalar.shift_n`."""
-        dk = _pack(2 * k, 0)
-        d = {key + dk * _unpack(key)[1]: c for key, c in self.d.items()}
-        return _Dyadic(d, self.e)
-
-    def scalar(self) -> Scalar:
-        den = 1 << self.e
-        return Scalar({k: Rat(c, den) for k, c in self.d.items()})
 
 
 # c_{n,1} = (alpha^2 - 1)(u - u^-1)/(t^2 - t^-2) in Laurent form: alpha^2 - 1
-# is (t^2 - t^-2)^2 / 4, so c_{n,1} = (t^2 - t^-2)(u - u^-1) / 4, stored
-# here times 4
-_C_N1 = {_pack(2, 1): 1, _pack(2, -1): -1, _pack(-2, 1): -1, _pack(-2, -1): 1}
+# is (t^2 - t^-2)^2 / 4, so c_{n,1} = (t^2 - t^-2)(u - u^-1) / 4
+_C_N1 = (tpow(2) - tpow(-2)) * (U - upow(-1)) * _QUARTER
 
 
 def _build_symbolic_suite() -> CoeffSuite:
-    """The suite's formulas, evaluated once over Z[1/2][t^+-1, u^+-1].
+    """The suite's formulas, evaluated once in Q[t^+-1, u^+-1].
 
     c_{n,1} is `_C_N1`, and the paper's term (1 - alpha^2) gamma_n C_n of
     c_{n,3}, with gamma_n = (u - u^-1)/(t^2 - t^-2), is -c_{n,1} C_n.
     """
-    al, B, C, c = map(_Dyadic.of, (ALPHA_SYM, B_SYM, C_SYM, c_SYM))
-    a = _Dyadic({_pack(2, 0): 1, _pack(-2, 0): 1}, 1)  # alpha = (t^2 + t^-2)/2
-    one = _Dyadic({0: 1})
-    a2m1 = a * a - one
-
-    Bm1 = B.shift_n(-1)
-    Bp1 = B.shift_n(1)
-    Bm2 = B.shift_n(-2)
-    Cm1 = C.shift_n(-1)
-    Cp1 = C.shift_n(1)
-    Cm2 = C.shift_n(-2)
-    cm1 = c.shift_n(-1)
-    cp1 = c.shift_n(1)
-
-    c1 = _Dyadic(_C_N1, 2)
-    c2 = cp1 - a * c + (one - a) * al * B
-    c3 = (B - a * Bm1) * c - c1 * C
-    c4 = cm1 * C - a * c * Cm1
-
-    d1 = a2m1 * al + a * c1
-    d2 = a2m1 * (c + al * (B + Bp1)) + a * c2 - (B - a * Bp1) * c1
-    d3 = (
-        a2m1 * ((B + Bm1) * c + al * (B * B + C + Cp1 - one))
-        + a * c1 * Cp1
-        - c1.shift_n(-1) * C
-        + (a - one) * c2 * B
-        + a * c3
-    )
-    d4 = (
-        a2m1 * ((B + Bm1) * al * C + (C + Bm1 * Bm1 + Cm1 - one) * c)
-        - (c2.shift_n(-1) - a * c2) * C
-        - (B - a * Bm1) * c3
-        + a * c4
-    )
-    d5 = (
-        a2m1 * Cm1 * (al * C + c * (Bm1 + Bm2))
-        + a * c3 * Cm1
-        - c3.shift_n(-1) * C
-        - (B - a * Bm2) * c4
-    )
-    d6 = a2m1 * c * Cm1 * Cm2 + a * c4 * Cm2 - c4.shift_n(-1) * C
-
-    laurent = (c1, c2, c3, c4, d1, d2, d3, d4, d5, d6)
-    return CoeffSuite(ALPHA_SYM, B_SYM, C_SYM, c_SYM, *(m.scalar() for m in laurent))
+    al, B, C, c, a, c1 = ALPHA_SYM, B_SYM, C_SYM, c_SYM, ALPHA, _C_N1
+    c2 = c.shift_n(1) - a * c + (ONE - a) * al * B
+    c3 = (B - a * B.shift_n(-1)) * c - c1 * C
+    c4 = c.shift_n(-1) * C - a * c * C.shift_n(-1)
+    return CoeffSuite(al, B, C, c, c1, c2, c3, c4)
 
 
 _SYMBOLIC_SUITE: CoeffSuite | None = None

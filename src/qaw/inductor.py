@@ -1,32 +1,59 @@
 """Symbolic-in-n certificates for the inductive proof of the relations.
 
-The induction from index k to k+1 rests on ten scalar identities among
-the suite coefficients: four behind the S_q advance,
+The claims at index n are
 
-    c_{k,3} + (alpha alpha_k - alpha_{k-1}) C_k + (alpha B_{k-1} - B_k) c_k = 0
-    c_{k,4} + alpha c_k C_{k-1} - c_{k-1} C_k = 0
-    alpha_{k+1} = c_{k,1} + alpha alpha_k
-    c_{k+1}   = c_{k,2} + alpha c_k + (alpha - 1) alpha_k B_k
+    S_q P_n     = alpha_n P_n + c_n P_{n-1},
+    U_2 D_q P_n = c_{n,1} P_{n+1} + c_{n,2} P_n + c_{n,3} P_{n-1} + c_{n,4} P_{n-2}.
 
-and six behind the D_q advance: d_{k,i} = c_{k+1,i} for i = 1..4 plus
-d_{k,5} = 0 and d_{k,6} = 0.  Each is verified here as an exact zero in
-Q[t^+-1, u^+-1], which covers every k at once; the per-index sweep in
-`structure` is the independent finite witness.
+The step to n+1 is derived, not transcribed.  Write P_{n+1} =
+(x - B_n) P_n - C_n P_{n-1} and apply the Askey-Wilson product rules
 
-The d_{k,3} display is ambiguous in one spot: its (alpha-1) c_{k,2} B
-term carries an index that does not match the surrounding k-indexed
-expression.  Both candidate readings, B at index k and at k+1, are
-evaluated; exactly one cancels and the certificate records which.
+    D_q(fg) = D_q f S_q g + S_q f D_q g,    S_q(fg) = S_q f S_q g + U_2 D_q f D_q g,
+    D_q x = 1,    S_q x = alpha x,
+
+with U_2 = (alpha^2 - 1)(x^2 - 1):
+
+    S_q P_{n+1}     = alpha x S_q P_n + U_2 D_q P_n
+                      - B_n S_q P_n - C_n S_q P_{n-1},
+    U_2 D_q P_{n+1} = U_2 S_q P_n + alpha x U_2 D_q P_n
+                      - B_n U_2 D_q P_n - C_n U_2 D_q P_{n-1}.
+
+Substituting the claims at n and n-1 and reducing with x P_m = P_{m+1} +
+B_m P_m + C_m P_{m-1} leaves formal sums sum_j v_j P_{n+j} over
+Q[t^+-1, u^+-1]; no step divides.  Each certificate is one offset of
+"derived minus claimed", where the claim is the relation at n+1: offsets
+-1, -2, +1, 0 for S_q and +2 .. -3 for U_2 D_q.  A zero in the ring
+covers every n at once; the per-index sweep in `structure` is the
+independent finite witness.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .awcore import ALPHA, context
+from .awcore import ALPHA, ALPHA2M1, context
 from .families import CoeffSuite, coeff_suite, counterexample_family
 from .scalar import ONE, Scalar, ZERO
 from .zsym import XPoly
+
+# sum_j v_j P_{n+j} as {j: v_j}
+Sum = dict[int, Scalar]
+
+_SQ_OFFSETS = (
+    ("sq-offset-m1-cancels", -1),
+    ("sq-offset-m2-cancels", -2),
+    ("sq-alpha-advance", 1),
+    ("sq-c-advance", 0),
+)
+_DQ_OFFSETS = (
+    ("dq-offset-p2", 2),
+    ("dq-offset-p1", 1),
+    ("dq-offset-0", 0),
+    ("dq-offset-m1", -1),
+    ("dq-offset-m2-cancels", -2),
+    ("dq-offset-m3-cancels", -3),
+)
+
 
 class IdentityCertificate(NamedTuple):
     """One identity, its residual, and the zero/nonzero verdict."""
@@ -35,131 +62,120 @@ class IdentityCertificate(NamedTuple):
     residual: Scalar
     verdict: str
     rendering: str
-    note: str = ""
 
     def record(self) -> dict:
-        rec = {
+        return {
             "name": self.name,
             "verdict": self.verdict,
             "residual_text": self.rendering,
         }
-        if self.note:
-            rec["note"] = self.note
-        return rec
 
 
-def _cert(name: str, residual: Scalar, note: str = "") -> IdentityCertificate:
+def _cert(name: str, residual: Scalar) -> IdentityCertificate:
     zero = residual.is_zero
     return IdentityCertificate(
-        name,
-        residual,
-        "zero" if zero else "nonzero",
-        "" if zero else residual.render(),
-        note,
+        name, residual, "zero" if zero else "nonzero", "" if zero else residual.render()
     )
 
 
-def _shift_suite(s: CoeffSuite, j: int) -> CoeffSuite:
-    return CoeffSuite._make(m.shift_n(j) for m in s)
+def _suites(k: int | None) -> dict[int, CoeffSuite]:
+    """The suites at n-2 .. n+1: symbolic in u, or instantiated at n = k.
+
+    x acts on P_{n+1} .. P_{n-2}, and the claims read n-1, n and n+1.
+    """
+    if k is None:
+        base = coeff_suite()
+        return {j: CoeffSuite._make(m.shift_n(j) for m in base) for j in range(-2, 2)}
+    return {j: coeff_suite(k + j) for j in range(-2, 2)}
 
 
-class _Neighborhood:
-    """Suites at indices k-1, k, k+1, symbolic or instantiated at k."""
-
-    def __init__(self, k: int | None = None):
-        if k is None:
-            base = coeff_suite()
-            self.at = {j: _shift_suite(base, j) for j in (-1, 0, 1)}
-        else:
-            self.at = {j: coeff_suite(k + j) for j in (-1, 0, 1)}
+def _comb(*terms: tuple[Scalar, Sum]) -> Sum:
+    """sum_i w_i v_i for (w_i, v_i) in terms."""
+    out: Sum = {}
+    for w, v in terms:
+        for j, c in v.items():
+            out[j] = out.get(j, ZERO) + w * c
+    return out
 
 
-def _sq_residuals(nb: _Neighborhood) -> list[tuple[str, Scalar, str]]:
-    s, sm, sp = nb.at[0], nb.at[-1], nb.at[1]
-    a = ALPHA
-    return [
-        (
-            "sq-offset-m1-cancels",
-            s.c_n3 + (a * s.alpha_n - sm.alpha_n) * s.C_n
-            + (a * sm.B_n - s.B_n) * s.c_n,
-            "",
-        ),
-        (
-            "sq-offset-m2-cancels",
-            s.c_n4 + a * s.c_n * sm.C_n - sm.c_n * s.C_n,
-            "",
-        ),
-        (
-            "sq-alpha-advance",
-            sp.alpha_n - s.c_n1 - a * s.alpha_n,
-            "",
-        ),
-        (
-            "sq-c-advance",
-            sp.c_n - s.c_n2 - a * s.c_n - (a - ONE) * s.alpha_n * s.B_n,
-            "",
-        ),
-    ]
-
-
-# every suite member is a Laurent polynomial
-_NOTE = "sides clear denominators"
-
-
-def _dq_residuals(nb: _Neighborhood) -> list[tuple[str, Scalar, str]]:
-    s, sp = nb.at[0], nb.at[1]
-    a = ALPHA
-    out = [
-        ("dq-offset-p2", s.d_k1 - sp.c_n1, _NOTE),
-        ("dq-offset-p1", s.d_k2 - sp.c_n2, _NOTE),
-    ]
-    # the ambiguous B factor of d_k3: suite adopts index k, the
-    # alternative shifts that one factor to k+1
-    alt = s.d_k3 + (a - ONE) * s.c_n2 * (sp.B_n - s.B_n)
-    res_k = s.d_k3 - sp.c_n3
-    res_k1 = alt - sp.c_n3
-    reading = []
-    if res_k.is_zero:
-        reading.append("index-k reading cancels")
-    else:
-        reading.append("index-k reading leaves a residual")
-    if res_k1.is_zero:
-        reading.append("index-(k+1) reading cancels")
-    else:
-        reading.append("index-(k+1) reading leaves a residual")
-    out.append(
-        (
-            "dq-offset-0",
-            res_k,
-            "; ".join(reading) + "; " + _NOTE,
-        )
+def _x(v: Sum, at: dict[int, CoeffSuite]) -> Sum:
+    """x v, by x P_m = P_{m+1} + B_m P_m + C_m P_{m-1}."""
+    return _comb(
+        *((c, {j + 1: ONE, j: at[j].B_n, j - 1: at[j].C_n}) for j, c in v.items())
     )
-    out.extend(
-        [
-            ("dq-offset-m1", s.d_k4 - sp.c_n4, _NOTE),
-            ("dq-offset-m2-cancels", s.d_k5, _NOTE),
-            ("dq-offset-m3-cancels", s.d_k6, _NOTE),
+
+
+def _u2(v: Sum, at: dict[int, CoeffSuite]) -> Sum:
+    """U_2 v = (alpha^2 - 1)(x x v - v)."""
+    return _comb((ALPHA2M1, _x(_x(v, at), at)), (-ALPHA2M1, v))
+
+
+def _sq_claim(s: CoeffSuite, j: int) -> Sum:
+    """S_q P_{n+j}, with s the suite at n+j."""
+    return {j: s.alpha_n, j - 1: s.c_n}
+
+
+def _dq_claim(s: CoeffSuite, j: int) -> Sum:
+    """U_2 D_q P_{n+j}, with s the suite at n+j."""
+    return {j + 1: s.c_n1, j: s.c_n2, j - 1: s.c_n3, j - 2: s.c_n4}
+
+
+def _step(at: dict[int, CoeffSuite]) -> tuple[Sum, Sum]:
+    s, sm = at[0], at[-1]
+    sq, dq = _sq_claim(s, 0), _dq_claim(s, 0)
+    sq_next = _comb(
+        (ALPHA, _x(sq, at)), (ONE, dq), (-s.B_n, sq), (-s.C_n, _sq_claim(sm, -1))
+    )
+    dq_next = _comb(
+        (ONE, _u2(sq, at)),
+        (ALPHA, _x(dq, at)),
+        (-s.B_n, dq),
+        (-s.C_n, _dq_claim(sm, -1)),
+    )
+    return sq_next, dq_next
+
+
+def derive_step(k: int | None = None) -> tuple[Sum, Sum]:
+    """S_q P_{n+1} and U_2 D_q P_{n+1} from the product rules and the
+    claims at n and n-1, as {offset from n: coefficient}.
+
+    Symbolic in n (u) by default, or with every suite instantiated at
+    n = k.
+    """
+    return _step(_suites(k))
+
+
+def _residuals(k: int | None = None) -> list[tuple[str, Scalar]]:
+    """Derived minus claimed at n+1, offset by offset: the ten step identities."""
+    at = _suites(k)
+    sq_next, dq_next = _step(at)
+    out = []
+    for offsets, derived, claimed in (
+        (_SQ_OFFSETS, sq_next, _sq_claim(at[1], 1)),
+        (_DQ_OFFSETS, dq_next, _dq_claim(at[1], 1)),
+    ):
+        out += [
+            (name, derived.get(j, ZERO) - claimed.get(j, ZERO)) for name, j in offsets
         ]
-    )
     return out
 
 
 def certify_sq_step() -> list[IdentityCertificate]:
-    """The four scalar identities behind the S_q advance, symbolic in u."""
-    return [_cert(*item) for item in _sq_residuals(_Neighborhood())]
+    """The four offsets of the derived S_q P_{n+1}, symbolic in u."""
+    return [_cert(*item) for item in _residuals()[: len(_SQ_OFFSETS)]]
 
 
 def certify_dq_step() -> list[IdentityCertificate]:
-    """The six scalar identities behind the D_q advance, symbolic in u."""
-    return [_cert(*item) for item in _dq_residuals(_Neighborhood())]
+    """The six offsets of the derived U_2 D_q P_{n+1}, symbolic in u."""
+    return [_cert(*item) for item in _residuals()[len(_SQ_OFFSETS) :]]
 
 
-def _poly_residual_cert(name: str, diff: XPoly, note: str = "") -> IdentityCertificate:
+def _poly_residual_cert(name: str, diff: XPoly) -> IdentityCertificate:
     if not diff:
-        return IdentityCertificate(name, ZERO, "zero", "", note)
+        return IdentityCertificate(name, ZERO, "zero", "")
     # a failing polynomial check surfaces its top coefficient as the
     # residual scalar and the whole polynomial in the rendering
-    return IdentityCertificate(name, diff.leading, "nonzero", diff.render(), note)
+    return IdentityCertificate(name, diff.leading, "nonzero", diff.render())
 
 
 def certify_base_case() -> list[IdentityCertificate]:
@@ -169,7 +185,7 @@ def certify_base_case() -> list[IdentityCertificate]:
     fam = counterexample_family()
     ctx = context()
     p0 = fam.poly(0)
-    out = [
+    return [
         _cert("base-alpha0", s0.alpha_n - ONE),
         _cert("base-c0", s0.c_n),
         _cert(
@@ -181,22 +197,18 @@ def certify_base_case() -> list[IdentityCertificate]:
         ),
         _poly_residual_cert("base-dq-constant", ctx.u2() * ctx.dq(p0)),
     ]
-    return out
 
 
 def instantiation_coherence(ks=(2, 3, 5, 8)) -> list[dict]:
     """Check substitution commutes with the certificate arithmetic.
 
     For each k: the symbolic residual instantiated at k must equal the
-    residual rebuilt from fully instantiated suites.
+    residual of the same derivation run on suites instantiated at k.
     """
-    sym = _Neighborhood()
-    sym_items = _sq_residuals(sym) + _dq_residuals(sym)
+    sym = _residuals()
     out = []
     for k in ks:
-        inst = _Neighborhood(k)
-        inst_items = _sq_residuals(inst) + _dq_residuals(inst)
-        for (name, res_sym, _), (_, res_inst, _) in zip(sym_items, inst_items):
+        for (name, res_sym), (_, res_inst) in zip(sym, _residuals(k)):
             ok = res_sym.instantiate_n(k) == res_inst
             out.append(
                 {

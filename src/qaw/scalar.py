@@ -216,7 +216,8 @@ class Scalar:
     """An element of Q[t^+-1, u^+-1]: one dict {packed (t, u) key: nonzero Rat}.
 
     The representation is unique, so `==` and `hash` are those of the
-    dict.  `/` returns the exact Laurent quotient or raises
+    dict, except that a constant hashes as the rational it equals.  `/`
+    returns the exact Laurent quotient or raises
     ExactDivisionError.
 
     Construct via the module helpers (`tpow`, `upow`, `rational`,
@@ -306,6 +307,9 @@ class Scalar:
         return self._t == other._t
 
     def __hash__(self) -> int:
+        # a constant hashes as its Rat, as `==` makes it equal to one
+        if self.is_rational:
+            return hash(self._t.get(0, _R0))
         return hash(frozenset(self._t.items()))
 
     def __neg__(self) -> "Scalar":

@@ -2,12 +2,10 @@
 
 import random
 
-import pytest
-
 from qaw.awcore import ALPHA, ALPHA2M1, OperatorContext, context, dq_apply, sq_apply, u2
 from qaw.families import counterexample_family
 from qaw.scalar import HALF, ONE, U, ZERO, Scalar, rational, tpow, upow
-from qaw.zsym import XPoly, ZLaurent, x_to_z, z_to_x
+from qaw.zsym import XPoly, ZLaurent, x_to_z
 from test_zsym import z_scale
 
 X = XPoly.x()

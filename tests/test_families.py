@@ -27,6 +27,7 @@ from qaw.families import (
     qpochhammer,
     ttrr_polys,
 )
+from qaw.inductor import derive_step
 from qaw.scalar import HALF, ONE, Q, T, U, ZERO, ExactDivisionError, rational, tpow, upow
 from qaw.zsym import XPoly
 
@@ -168,36 +169,39 @@ def test_suite_closed_forms_cohere():
     # instantiated mode substitutes every field consistently
     inst = coeff_suite(4)
     assert inst.c_n2 == s.c_n2.instantiate_n(4)
-    assert not inst.d_k5.has_u
+    assert not inst.c_n4.has_u
 
 
 def reference_suite() -> CoeffSuite:
     """The suite's formulas on Scalars, with gamma_n's denominator as the
     one division.
 
-    The independent build that `coeff_suite` is checked against: every
-    product here runs on Fraction coefficients, and c_{n,1} comes from
-    (alpha^2 - 1) gamma_n, gamma_n = (u - u^-1)/(t^2 - t^-2), by exact
-    division rather than from its Laurent form.
+    The independent build that `coeff_suite` is checked against: c_{n,1}
+    comes from (alpha^2 - 1) gamma_n, gamma_n = (u - u^-1)/(t^2 - t^-2),
+    by exact division rather than from its Laurent form.
     """
     al, B, C, c = ALPHA_SYM, B_SYM, C_SYM, c_SYM
     a = ALPHA
-    a2m1 = a * a - ONE
     ga_num, ga_den = U - upow(-1), tpow(2) - tpow(-2)
 
-    Bm1 = B.shift_n(-1)
-    Bp1 = B.shift_n(1)
-    Bm2 = B.shift_n(-2)
-    Cm1 = C.shift_n(-1)
-    Cp1 = C.shift_n(1)
-    Cm2 = C.shift_n(-2)
-    cm1 = c.shift_n(-1)
-    cp1 = c.shift_n(1)
+    c1 = (a * a - ONE) * ga_num / ga_den
+    c2 = c.shift_n(1) - a * c + (ONE - a) * al * B
+    c3 = (B - a * B.shift_n(-1)) * c + (ONE - a * a) * ga_num * C / ga_den
+    c4 = c.shift_n(-1) * C - a * c * C.shift_n(-1)
+    return CoeffSuite(al, B, C, c, c1, c2, c3, c4)
 
-    c1 = a2m1 * ga_num / ga_den
-    c2 = cp1 - a * c + (ONE - a) * al * B
-    c3 = (B - a * Bm1) * c + (ONE - a * a) * ga_num * C / ga_den
-    c4 = cm1 * C - a * c * Cm1
+
+def transcribed_d(s: CoeffSuite) -> list:
+    """The paper's d_{k,1..6}, the coefficients of U_2 D_q P_{k+1} at
+    offsets +2 .. -3 from k, as displayed, on the suite s at index k.
+
+    The (alpha - 1) c_{k,2} B term of d_{k,3} takes B at index k.
+    """
+    al, B, C, c, c1, c2, c3, c4 = s
+    a = ALPHA
+    a2m1 = a * a - ONE
+    Bm1, Bp1, Bm2 = B.shift_n(-1), B.shift_n(1), B.shift_n(-2)
+    Cm1, Cp1, Cm2 = C.shift_n(-1), C.shift_n(1), C.shift_n(-2)
 
     d1 = a2m1 * al + a * c1
     d2 = a2m1 * (c + al * (B + Bp1)) + a * c2 - (B - a * Bp1) * c1
@@ -221,8 +225,19 @@ def reference_suite() -> CoeffSuite:
         - (B - a * Bm2) * c4
     )
     d6 = a2m1 * c * Cm1 * Cm2 + a * c4 * Cm2 - c4.shift_n(-1) * C
+    return [d1, d2, d3, d4, d5, d6]
 
-    return CoeffSuite(al, B, C, c, c1, c2, c3, c4, d1, d2, d3, d4, d5, d6)
+
+def test_transcribed_d_is_the_derived_step():
+    # paper fidelity: the derivation of `inductor` reproduces the
+    # displayed d_{k,1..6} offset by offset
+    s = reference_suite()
+    d = transcribed_d(s)
+    _, dq_next = derive_step()
+    assert [dq_next[j] for j in range(2, -4, -1)] == d
+    # and settles the index of d_{k,3}'s B factor: B at k + 1 differs
+    d3_k1 = d[2] + (ALPHA - ONE) * s.c_n2 * (s.B_n.shift_n(1) - s.B_n)
+    assert d3_k1 != dq_next[0]
 
 
 def suite_mismatches(suite: CoeffSuite, ref: CoeffSuite) -> list[str]:
@@ -240,16 +255,15 @@ def suite_mismatches(suite: CoeffSuite, ref: CoeffSuite) -> list[str]:
 
 def test_suite_matches_the_fraction_build():
     suite, ref = coeff_suite(), reference_suite()
-    assert len(suite) == 14
+    assert len(suite) == 8
     assert suite_mismatches(suite, ref) == []
 
 
 def test_sign_flipped_c_n1_is_caught(monkeypatch, capsys):
-    flipped = {k: -v for k, v in families._C_N1.items()}
-    monkeypatch.setattr(families, "_C_N1", flipped)
+    monkeypatch.setattr(families, "_C_N1", -families._C_N1)
     # the members that read c_{n,1} change with it
     assert suite_mismatches(families._build_symbolic_suite(), reference_suite()) == [
-        "c_n1", "c_n3", "d_k1", "d_k2", "d_k3", "d_k4", "d_k5",
+        "c_n1", "c_n3",
     ]
     # `verify proof` reads the flipped suite: seven step certificates
     # turn nonzero and the command fails

@@ -1,14 +1,22 @@
 """Symbolic-in-the-index certificates for the induction step."""
 
-from qaw.awcore import ALPHA
-from qaw.families import coeff_suite
+import json
+
+import pytest
+
+from qaw import families, inductor
+from qaw.awcore import ALPHA, context
+from qaw.cli import main
+from qaw.families import coeff_suite, counterexample_family
 from qaw.inductor import (
     certify_base_case,
     certify_dq_step,
     certify_sq_step,
+    derive_step,
     instantiation_coherence,
 )
 from qaw.scalar import ONE, ZERO
+from qaw.zsym import XPoly
 
 
 def test_advance_identities_direct():
@@ -17,16 +25,6 @@ def test_advance_identities_direct():
     assert s.alpha_n.shift_n(1) == s.c_n1 + ALPHA * s.alpha_n
     expected_next_c = s.c_n2 + ALPHA * s.c_n + (ALPHA - ONE) * s.alpha_n * s.B_n
     assert s.c_n.shift_n(1) == expected_next_c
-
-
-def test_d_reductions_direct():
-    s = coeff_suite()
-    assert s.d_k1 == s.c_n1.shift_n(1)
-    assert s.d_k2 == s.c_n2.shift_n(1)
-    assert s.d_k3 == s.c_n3.shift_n(1)
-    assert s.d_k4 == s.c_n4.shift_n(1)
-    assert s.d_k5 == ZERO
-    assert s.d_k6 == ZERO
 
 
 def test_c4_factor_chain():
@@ -49,15 +47,16 @@ def test_sq_step_certificates():
 
 def test_dq_step_certificates():
     certs = certify_dq_step()
-    assert len(certs) == 6
+    assert [c.name for c in certs] == [
+        "dq-offset-p2",
+        "dq-offset-p1",
+        "dq-offset-0",
+        "dq-offset-m1",
+        "dq-offset-m2-cancels",
+        "dq-offset-m3-cancels",
+    ]
     assert all(c.verdict == "zero" for c in certs)
-    by_name = {c.name: c for c in certs}
-    note = by_name["dq-offset-0"].note
-    assert "index-k reading cancels" in note
-    assert "index-(k+1)" in note
-    # every side of the six reductions is denominator-free
-    for c in certs:
-        assert "clear denominators" in c.note
+    assert all(c.record() == {"name": c.name, "verdict": "zero", "residual_text": ""} for c in certs)
 
 
 def test_base_case_certificates():
@@ -93,3 +92,66 @@ def test_instantiation_coherence_custom_ks():
     rows = instantiation_coherence(ks=(4,))
     assert len(rows) == 10
     assert all(r["k"] == 4 and r["status"] == "pass" for r in rows)
+
+
+def materialise(v, n):
+    """sum_j v_j P_{n+j} as a polynomial, with P_m = 0 for m < 0."""
+    fam = counterexample_family()
+    out = XPoly.zero()
+    for j, c in v.items():
+        out = out + fam.poly(n + j).scale(c)
+    return out
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_derived_step_is_the_operators_on_p_next(n):
+    # the formal sums, read as polynomials, are S_q and U_2 D_q applied
+    # to P_{n+1}: the derivation against the closed-form operators
+    ctx = context()
+    p_next = counterexample_family().poly(n + 1)
+    sq_next, dq_next = derive_step(n)
+    assert materialise(sq_next, n) == ctx.sq(p_next)
+    assert materialise(dq_next, n) == ctx.u2() * ctx.dq(p_next)
+
+
+def test_base_cases_of_the_formal_step():
+    # at n = 0 and n = 1 the step reaches P_-1 and P_-2, which are zero;
+    # the coefficients that multiply them vanish there
+    s0, s1 = coeff_suite(0), coeff_suite(1)
+    assert [s0.C_n, s0.c_n, s0.c_n3, s0.c_n4, s1.c_n4] == [ZERO] * 5
+    for k in (0, 1):
+        assert all(r.is_zero for _, r in inductor._residuals(k))
+
+
+def nonzero_certificates(capsys) -> list[str]:
+    """`qaw verify proof` must fail; the names of its nonzero certificates."""
+    assert main(["verify", "proof", "--format", "json"]) == 1
+    recs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    return [r["name"] for r in recs if r.get("verdict") == "nonzero"]
+
+
+def test_sign_flipped_c_n4_is_caught(monkeypatch, capsys):
+    build = families._build_symbolic_suite
+    monkeypatch.setattr(
+        families, "_build_symbolic_suite", lambda: (s := build())._replace(c_n4=-s.c_n4)
+    )
+    monkeypatch.setattr(families, "_SYMBOLIC_SUITE", None)
+    assert nonzero_certificates(capsys) == [
+        "sq-offset-m2-cancels",
+        "dq-offset-m1",
+        "dq-offset-m2-cancels",
+        "dq-offset-m3-cancels",
+    ]
+
+
+def test_dropped_product_rule_term_is_caught(monkeypatch, capsys):
+    # U_2 S_q P_n is the one term of U_2 D_q P_{n+1} that _u2 builds
+    monkeypatch.setattr(inductor, "_u2", lambda v, at: {})
+    assert nonzero_certificates(capsys) == [
+        "dq-offset-p2",
+        "dq-offset-p1",
+        "dq-offset-0",
+        "dq-offset-m1",
+        "dq-offset-m2-cancels",
+        "dq-offset-m3-cancels",
+    ]

@@ -1,6 +1,7 @@
 """Exact arithmetic in Q[t^+-1, u^+-1]."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -95,6 +96,14 @@ def test_exact_quotients_recover_the_factor():
         got = (lau * den) / den
         assert got == lau and hash(got) == hash(lau)
         assert list(got.laurent_terms()) == list(lau.laurent_terms())
+
+
+def test_constants_hash_as_the_numbers_they_equal():
+    # `==` makes a constant equal to its int or rational, so `hash` must agree
+    assert rational(3) == 3 and len({rational(3), 3}) == 1
+    assert hash(ZERO) == hash(0)
+    assert hash(rational(1, 2)) == hash(Fraction(1, 2))
+    assert len({ONE, 1, Fraction(1), T}) == 2
 
 
 def test_from_terms_merges_and_drops_zeros():

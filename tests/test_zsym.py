@@ -5,7 +5,7 @@ import random
 import pytest
 
 import qaw
-from qaw.scalar import HALF, ONE, Scalar, T, ZERO, rational, tpow
+from qaw.scalar import HALF, ONE, T, ZERO, rational, tpow
 from qaw.zsym import (
     NEG_INF,
     XPoly,
