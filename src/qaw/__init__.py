@@ -17,8 +17,6 @@ from .families import (
     counterexample_family,
     dual_qhahn_family,
     dual_qhahn_rec_coeffs,
-    qpochhammer,
-    ttrr_polys,
 )
 from .inductor import (
     IdentityCertificate,
@@ -90,12 +88,10 @@ __all__ = [
     "lattice_sq",
     "numeric_crosscheck",
     "offset_m2_witness",
-    "qpochhammer",
     "rational",
     "sq_apply",
     "structure_relation",
     "tpow",
-    "ttrr_polys",
     "u2",
     "upow",
     "verify_proposition",

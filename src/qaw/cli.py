@@ -23,12 +23,7 @@ from .families import (
     counterexample_family,
     dual_qhahn_family,
 )
-from .inductor import (
-    certify_base_case,
-    certify_dq_step,
-    certify_sq_step,
-    instantiation_coherence,
-)
+from .inductor import certify_proof
 from .numeric import NumericConfig, eval_poly, numeric_crosscheck
 from .scalar import ZERO, Rat, tpow
 from .structure import (
@@ -74,10 +69,11 @@ def _cmd_proof(args) -> int:
     if not ks:
         raise ValueError("--k-samples wants at least one index")
     ok = True
-    for cert in certify_sq_step() + certify_dq_step() + certify_base_case():
+    certs, coherence = certify_proof(ks)
+    for cert in certs:
         _emit(cert.record(), args.format)
         ok = ok and cert.verdict == "zero"
-    for rec in instantiation_coherence(ks):
+    for rec in coherence:
         _emit(rec, args.format)
         ok = ok and rec["status"] == "pass"
     return 0 if ok else 1

@@ -97,11 +97,6 @@ class OPSFamily:
             return zs[n]
 
 
-def ttrr_polys(fam: OPSFamily, nmax: int) -> list[XPoly]:
-    """p_0 ... p_nmax of the family, monic."""
-    return [fam.poly(n) for n in range(nmax + 1)]
-
-
 class _FamilyFields(NamedTuple):
     a: Scalar
     b: Scalar
@@ -238,18 +233,6 @@ def coeff_suite(n: int | None = None) -> CoeffSuite:
     if n is None:
         return suite
     return CoeffSuite._make(m.instantiate_n(n) for m in suite)
-
-
-def qpochhammer(a: Scalar, base: Scalar, k: int) -> Scalar:
-    """(a; base)_k = (1 - a)(1 - a base) ... (1 - a base^(k-1))."""
-    if k < 0:
-        raise ValueError("q-Pochhammer wants k >= 0")
-    out = ONE
-    factor = a
-    for _ in range(k):
-        out = out * (ONE - factor)
-        factor = factor * base
-    return out
 
 
 def aw_hyp_poly(

@@ -205,7 +205,11 @@ def instantiation_coherence(ks=(2, 3, 5, 8)) -> list[dict]:
     For each k: the symbolic residual instantiated at k must equal the
     residual of the same derivation run on suites instantiated at k.
     """
-    sym = _residuals()
+    return _coherence(_residuals(), ks)
+
+
+def _coherence(sym: list[tuple[str, Scalar]], ks) -> list[dict]:
+    """`instantiation_coherence` against the symbolic residuals sym."""
     out = []
     for k in ks:
         for (name, res_sym), (_, res_inst) in zip(sym, _residuals(k)):
@@ -219,3 +223,14 @@ def instantiation_coherence(ks=(2, 3, 5, 8)) -> list[dict]:
                 }
             )
     return out
+
+
+def certify_proof(ks=(2, 3, 5, 8)) -> tuple[list[IdentityCertificate], list[dict]]:
+    """Everything `qaw verify proof` checks, from one symbolic derivation.
+
+    The certificates of `certify_sq_step`, `certify_dq_step` and
+    `certify_base_case`, in that order, and the records of
+    `instantiation_coherence(ks)`.
+    """
+    sym = _residuals()
+    return [_cert(*item) for item in sym] + certify_base_case(), _coherence(sym, ks)

@@ -13,8 +13,11 @@ relation has bandwidth (2, 1): offsets -2 .. +1, with the -2 entry
 provably nonzero from n = 2 on, which is the whole point of the family.
 
 Expansion writes a z-side Laurent polynomial in the basis.  The private
-generator `_expansions` yields both expansions at every n, and every
-relation entry point reads them from it.  It has one route, over
+generator `_int_expansions` yields the integer expansions of only the
+relations and the n that its caller asks for: `iter_proposition_reports`
+reads both relations at every n <= nmax, `structure_relation` the D_q
+relation at its one n, and `bandwidth_scan` without reports the D_q
+relation at n = 2 .. nmax.  It has one route, over
 Z[t^+-][z^+-], and so needs the family's 2 a_n and 4 b_n to be integral,
 u-free Laurent polynomials in t, as they are for the counterexample
 family and for every family that the CLI builds.  Every entry point
@@ -37,8 +40,9 @@ row m of G is E_m + sum_{k > m} E_k Q_k[m], and
 
 from the top row down to m = 0, each row one `_lincomb`.  Every row
 is formed exactly and tested for zero, and the E_k are integer
-Laurent polynomials in t.  Only the few nonzero E_k become Scalars,
-scaled by 2^(k-n-1) and 2^(k-n-3) respectively.  Everything here is
+Laurent polynomials in t.  Reports turn only the few nonzero E_k into
+Scalars, scaled by 2^(k-n-1) and 2^(k-n-3) respectively; the bandwidth
+scan reads the shape from the indices k alone.  Everything here is
 symmetric under z -> z^-1, so only the z^m rows with m >= 0 are kept.
 
 Each row, an integer Laurent polynomial in t, is one Python int
@@ -183,11 +187,6 @@ def _offsets_report(
     expected: dict[int, Scalar] | None,
 ) -> StructureReport:
     offs = {k - n: v for k, v in expansion.items()}
-    if offs:
-        r = max(0, -min(offs))
-        s = max(0, max(offs))
-    else:
-        r = s = 0
     residuals: list[tuple[str, Scalar]] = []
     if expected is not None:
         for o in sorted(set(offs) | set(expected), reverse=True):
@@ -195,7 +194,14 @@ def _offsets_report(
             if diff:
                 residuals.append(("offset%+d" % o, diff))
     status = "pass" if not residuals else "fail"
-    return StructureReport(check, n, offs, (r, s), status, residuals)
+    return StructureReport(check, n, offs, _bandwidth(offs), status, residuals)
+
+
+def _bandwidth(offsets) -> tuple[int, int]:
+    """(r, s) with the nonzero offsets in -r .. s, r and s at least 0."""
+    if not offsets:
+        return 0, 0
+    return max(0, -min(offsets)), max(0, max(offsets))
 
 
 def structure_relation(
@@ -209,9 +215,8 @@ def structure_relation(
         raise ValueError("index must be nonnegative")
     if pi != u2():
         raise ValueError("the relation is implemented for pi = U_2 only")
-    for _, _, dq in _expansions(n, fam):  # the last is U_2 D_q P_n
-        pass
-    return _offsets_report("dq-relation", n, dq, expected)
+    ((check, _, shift, ex),) = _int_expansions(fam, range(n, n + 1), ("dq-relation",))
+    return _offsets_report(check, n, _scalars(ex, shift), expected)
 
 
 def _expected(check: str, n: int) -> dict[int, Scalar]:
@@ -437,10 +442,6 @@ def _dq_rows(q: list[Row], w: int, g: int) -> dict[int, Row]:
     return rows
 
 
-# each relation with its rows of Q_n, which are 2^(n + s) times its left side
-_RELATIONS = (("sq-relation", _sq_rows, 1), ("dq-relation", _dq_rows, 3))
-
-
 def _expand_int(
     work: dict[int, Row], qs: list[list[Row]], w: int, g: int
 ) -> dict[int, dict[int, int]]:
@@ -467,20 +468,29 @@ def _int_scalar(e: dict[int, int], shift: int) -> Scalar:
     return Scalar.from_terms({(i, 0): Rat(c, den) for i, c in e.items()})
 
 
-def _expansions(
-    nmax: int, fam: OPSFamily
-) -> Iterator[tuple[str, int, dict[int, Scalar]]]:
-    """(check, n, expansion) for S_q P_n, then U_2 D_q P_n, for n <= nmax.
+def _scalars(ex: dict[int, dict[int, int]], shift: int) -> dict[int, Scalar]:
+    """{k: E_k / 2^(shift - k)} of an integer expansion."""
+    return {k: _int_scalar(e, shift - k) for k, e in ex.items()}
 
+
+def _int_expansions(
+    fam: OPSFamily, ns: range, checks: Sequence[str]
+) -> Iterator[tuple[str, int, int, dict[int, dict[int, int]]]]:
+    """(check, n, shift, {k: E_k}) for each n in ns and each check, in order.
+
+    The left side of the relation is sum_k E_k / 2^(shift - k) P_k.
     Lazy per relation, so a consumer timing each step sees them apart.
     """
-    kernel = _Kernel(fam, nmax)
-    for n in range(nmax + 1):
+    kernel = _Kernel(fam, ns[-1])
+    # each relation's rows of Q_n are 2^(n + s) times its left side
+    table = {"sq-relation": (_sq_rows, 1), "dq-relation": (_dq_rows, 3)}
+    relations = [(check, *table[check]) for check in checks]
+    for n in ns:
         # G below has degree n + 1, so eliminating it needs Q_{n+1}
         kernel.extend(n + 2)
-        for check, rows, s in _RELATIONS:
+        for check, rows, s in relations:
             ex = kernel.fit(lambda qs, w, g: _expand_int(rows(qs[n], w, g), qs, w, g))
-            yield check, n, {k: _int_scalar(e, n + s - k) for k, e in ex.items()}
+            yield check, n, n + s, ex
 
 
 def _x_rows(z: dict[int, Row], es: list[list[int]], w: int, g: int) -> list[Row]:
@@ -587,8 +597,10 @@ def iter_proposition_reports(
     """
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
-    for check, n, ex in _expansions(nmax, fam or counterexample_family()):
-        yield _offsets_report(check, n, ex, _expected(check, n))
+    fam = fam or counterexample_family()
+    checks = ("sq-relation", "dq-relation")
+    for check, n, shift, ex in _int_expansions(fam, range(nmax + 1), checks):
+        yield _offsets_report(check, n, _scalars(ex, shift), _expected(check, n))
 
 
 def verify_proposition(
@@ -627,29 +639,38 @@ def bandwidth_scan(
 ) -> BandwidthSummary:
     """Shape of the pi*D_q relation for n in [2, nmax]; pi must be U_2.
 
-    `reports`, by default one `iter_proposition_reports` sweep of `fam`,
-    must hold a D_q relation for every n in [2, nmax], or ValueError.
+    `reports`, if given, must hold a D_q relation for every n in
+    [2, nmax], or ValueError.  Without them the scan expands only
+    U_2 D_q P_n, on integers, and reads the shape from the indices of
+    the nonzero coefficients.
     """
     if pi != u2():
         raise ValueError("the relation is implemented for pi = U_2 only")
     if nmax < 2:
         raise ValueError("bandwidth scan wants nmax >= 2")
     if reports is None:
-        reports = iter_proposition_reports(nmax, fam)
-    by_n = {r.n: r for r in reports if r.check == "dq-relation"}
+        ns = range(2, nmax + 1)
+        shapes = {
+            n: (_bandwidth([k - n for k in ex]), n - 2 in ex)
+            for _, n, _, ex in _int_expansions(fam, ns, ("dq-relation",))
+        }
+    else:
+        shapes = {
+            r.n: (r.bandwidth, bool(r.coefficients.get(-2, ZERO)))
+            for r in reports
+            if r.check == "dq-relation"
+        }
     rows = []
     max_r = max_s = 0
     all_nonzero = True
     for n in range(2, nmax + 1):
-        rep = by_n.get(n)
-        if rep is None:
+        if n not in shapes:
             raise ValueError("the reports lack the D_q relation at n = %d" % n)
-        r, s = rep.bandwidth
+        (r, s), m2_nonzero = shapes[n]
         rows.append((n, r, s))
         max_r = max(max_r, r)
         max_s = max(max_s, s)
-        if not rep.coefficients.get(-2, ZERO):
-            all_nonzero = False
+        all_nonzero = all_nonzero and m2_nonzero
     ok = max_r == 2 and max_s == 1 and all_nonzero
     return BandwidthSummary(
         nmax, rows, max_r, max_s, all_nonzero, "pass" if ok else "fail"

@@ -24,11 +24,9 @@ from qaw.families import (
     counterexample_family,
     dual_qhahn_family,
     dual_qhahn_rec_coeffs,
-    qpochhammer,
-    ttrr_polys,
 )
 from qaw.inductor import derive_step
-from qaw.scalar import HALF, ONE, Q, T, U, ZERO, ExactDivisionError, rational, tpow, upow
+from qaw.scalar import HALF, ONE, T, U, ZERO, ExactDivisionError, rational, tpow, upow
 from qaw.zsym import XPoly
 
 X = XPoly.x()
@@ -62,7 +60,8 @@ def test_counterexample_rec_values():
 
 def test_monic_and_degree():
     fam = counterexample_family()
-    for n, p in enumerate(ttrr_polys(fam, 12)):
+    for n in range(13):
+        p = fam.poly(n)
         assert p.degree == n
         assert p.leading == ONE
 
@@ -113,13 +112,6 @@ def test_substitution_consistency_symbolic():
     an, bn = dual_qhahn_rec_coeffs(COUNTEREXAMPLE_PARAMS, U)
     assert an == B_SYM
     assert bn == C_SYM
-
-
-def test_qpochhammer():
-    a = tpow(3)
-    assert qpochhammer(a, Q, 0) == ONE
-    assert qpochhammer(Q, Q, 1) == ONE - Q
-    assert qpochhammer(a, Q, 2) == (ONE - a) * (ONE - a * Q)
 
 
 def test_aw_hyp_poly_small():

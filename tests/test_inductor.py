@@ -155,3 +155,21 @@ def test_dropped_product_rule_term_is_caught(monkeypatch, capsys):
         "dq-offset-m2-cancels",
         "dq-offset-m3-cancels",
     ]
+
+
+def test_verify_proof_derives_the_symbolic_step_once(monkeypatch, capsys):
+    residuals = inductor._residuals
+    symbolic = []
+
+    def spy(k=None):
+        symbolic.append(k is None)
+        return residuals(k)
+
+    monkeypatch.setattr(inductor, "_residuals", spy)
+    assert main(["verify", "proof", "--format", "json", "--k-samples", "2,3"]) == 0
+    # one symbolic run, then one instantiated run per k
+    assert symbolic == [True, False, False]
+    # the shared run gives the records of the three separate calls
+    recs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    certs = certify_sq_step() + certify_dq_step() + certify_base_case()
+    assert recs == [c.record() for c in certs] + instantiation_coherence((2, 3))

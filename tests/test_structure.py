@@ -306,6 +306,53 @@ def test_neighbourhood_grid(label):
         assert summary.offset_m2_all_nonzero
 
 
+def scan_families():
+    """(label, family, nmax) for the scans that must not need reports."""
+    yield "counterexample", counterexample_family(), 14
+    for label, (params, _) in NEIGHBOURS.items():
+        yield label, dual_qhahn_family(FamilyParams(*params)), 8
+    for label in GRID:
+        params = (GRID_VALUES[v] for v in label.split(","))
+        yield label, dual_qhahn_family(FamilyParams(*params, tpow(2))), 8
+    yield "bumped", bumped_family(tpow(5)), 6
+
+
+def test_scan_without_reports_matches_the_sweep():
+    for label, fam, nmax in scan_families():
+        reports = list(iter_proposition_reports(nmax, fam))
+        want = bandwidth_scan(fam, u2(), nmax, reports=reports)
+        got = bandwidth_scan(fam, u2(), nmax)
+        assert got == want, label
+        assert got.record() == want.record(), label
+    with pytest.raises(ValueError, match="integral 2 a_n and 4 b_n"):
+        bandwidth_scan(bumped_family(rational(1, 3)), u2(), 6)
+
+
+def test_scan_and_relation_expand_only_u2_dq(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the scan reached the report path")
+
+    for name in ("_sq_rows", "_int_scalar", "_expected", "_offsets_report"):
+        monkeypatch.setattr(structure, name, refuse)
+    summary = bandwidth_scan(counterexample_family(), u2(), 14)
+    assert summary.status == "pass"
+    assert summary.rows == [(n, 2, 1) for n in range(2, 15)]
+    monkeypatch.undo()
+    calls = []
+    rows = structure._dq_rows
+
+    def spy(*args):
+        calls.append(args[0])
+        return rows(*args)
+
+    monkeypatch.setattr(structure, "_sq_rows", refuse)
+    monkeypatch.setattr(structure, "_dq_rows", spy)
+    rep = structure_relation(counterexample_family(), u2(), 8)
+    assert rep.status == "pass" and rep.bandwidth == (2, 1)
+    # one expansion, of the nine rows of Q_8
+    assert [len(q) for q in calls] == [9]
+
+
 def test_stride_follows_the_data():
     # g = 2 exactly when every 2 a_m has odd and every 4 b_m even exponents
     assert _stride(_int_recurrence(counterexample_family(), 20)) == 2
