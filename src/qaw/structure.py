@@ -28,8 +28,8 @@ basis Q_n = 2^n P_n,
 
 and the two operators without division,
 
-    Q_n(t^2 z) + Q_n(t^-2 z)                          = 2^(n+1) S_q P_n,
-    (t^2 - t^-2)(z - z^-1)(Q_n(t^2 z) - Q_n(t^-2 z))  = 2^(n+3) U_2 D_q P_n.
+    Q_n(t^2 z) + Q_n(t^-2 z)              = 2^(n+1) S_q P_n,
+    (z - z^-1)(Q_n(t^2 z) - Q_n(t^-2 z))  = 2^(n+3) U_2 D_q P_n / (t^2 - t^-2).
 
 The second holds because U_2's z-form carries the D_q denominator
 (t^2 - t^-2)(z - z^-1)/2, so the multiplier of D_q is fixed to U_2.
@@ -40,10 +40,15 @@ row m of G is E_m + sum_{k > m} E_k Q_k[m], and
 
 from the top row down to m = 0, each row one `_lincomb`.  Every row
 is formed exactly and tested for zero, and the E_k are integer
-Laurent polynomials in t.  Reports turn only the few nonzero E_k into
-Scalars, scaled by 2^(k-n-1) and 2^(k-n-3) respectively; the bandwidth
-scan reads the shape from the indices k alone.  Everything here is
-symmetric under z -> z^-1, so only the z^m rows with m >= 0 are kept.
+Laurent polynomials in t.  The expansion is linear and unique, so the
+D_q relation eliminates the second left side above, with 4 terms per
+row where its product with t^2 - t^-2 has 8, and its reported E_k are
+t^2 - t^-2 times the eliminated E'_k, one `_pmul` for each of the few
+nonzero ones.  Reports turn only those E_k into Scalars, scaled by
+2^(k-n-1) and 2^(k-n-3) respectively; the bandwidth scan reads the
+shape from the indices k alone, which the nonzero factor keeps.
+Everything here is symmetric under z -> z^-1, so only the z^m rows
+with m >= 0 are kept.
 
 Each row, an integer Laurent polynomial in t, is one Python int
 (Kronecker substitution; D. Harvey, J. Symb. Comput. 44 (2009)).  A
@@ -56,8 +61,9 @@ width w common to the whole sweep and B >= max |coeff f|:
   exactly when P is.  Sums, shifts and products therefore act on P
   directly, with no carries to propagate.
 * Bounds.  Every row is built by `_lincomb` as a sum of small known
-  polynomials e (2 a_m, 4 b_m, t^2 - t^-2 and shifts, E_k) times rows,
-  term by term as P += (c P_row) << (slots * w), and gets the bound
+  polynomials e (2 a_m, 4 b_m, t^(2j) +- t^(-2j), the eliminated E_k,
+  and t^2 - t^-2 on the x-forms' D_q rows) times rows, term by term
+  as P += (c P_row) << (slots * w), and gets the bound
   B = sum ||e||_1 B_row.  Nearly every c is +-2^j, and such a term is
   the same integer as P +-= P_row << (slots * w + j), one shift and
   one add or subtract.  No row is kept, unpacked or tested for zero
@@ -79,7 +85,8 @@ width w common to the whole sweep and B >= max |coeff f|:
   zeros at g = 1.  The congruence of the offsets is checked on every
   sum rather than assumed, and a violation raises ArithmeticError.
 * x-forms.  `_operator_xrows` gives the float witness of `numeric`
-  its exact values: the rows of Q_k, of S_q and of U_2 D_q, turned to
+  its exact values: the rows of Q_k, of S_q and of U_2 D_q (the rows
+  of `_dq_rows` times t^2 - t^-2, one `_lincomb` each), turned to
   x by z^m + z^-m = E_m(x), E_{m+1} = 2x E_m - E_{m-1}.  Each
   x-coefficient row is a `_lincomb` of z-rows with the integers of
   E_m, so it widens the same way, in `_fitted_xforms`, and
@@ -422,17 +429,19 @@ def _sq_rows(q: list[Row], w: int, g: int) -> dict[int, Row]:
 
 
 def _dq_rows(q: list[Row], w: int, g: int) -> dict[int, Row]:
-    """(t^2 - t^-2)(z - z^-1)(Q_n(t^2 z) - Q_n(t^-2 z)) by its m >= 0 rows.
+    """(z - z^-1)(Q_n(t^2 z) - Q_n(t^-2 z)) by its m >= 0 rows.
 
-    That is 2^(n+3) U_2 D_q P_n, whose z^m row is
-    (t^2 - t^-2)(d_{m-1} - d_{m+1}) with d_j = (t^(2j) - t^(-2j)) Q_n[|j|].
+    That is 2^(n+3) U_2 D_q P_n divided by t^2 - t^-2, whose z^m row is
+    d_{m-1} - d_{m+1} with d_j = (t^(2j) - t^(-2j)) Q_n[|j|].  Callers
+    put the factor back: `_int_expansions` on the nonzero E_k,
+    `_operator_xrows` on these rows.
     """
     rows = {}
     for m in range(len(q) + 1):
         r = _lincomb(
             [
-                (_pmul(_T2_DIFF, _twin(m - 1, -1)), _row(q, abs(m - 1))),
-                (_pmul(_T2_DIFF, _twin(-m - 1, -1)), _row(q, m + 1)),
+                (_twin(m - 1, -1), _row(q, abs(m - 1))),
+                (_twin(-m - 1, -1), _row(q, m + 1)),
             ],
             w,
             g,
@@ -482,15 +491,20 @@ def _int_expansions(
     Lazy per relation, so a consumer timing each step sees them apart.
     """
     kernel = _Kernel(fam, ns[-1])
-    # each relation's rows of Q_n are 2^(n + s) times its left side
-    table = {"sq-relation": (_sq_rows, 1), "dq-relation": (_dq_rows, 3)}
+    # each relation's rows of Q_n, times its factor, are 2^(n + s) times
+    # its left side; the expansion is linear, so the factor multiplies
+    # only the few nonzero E_k after the elimination
+    table = {
+        "sq-relation": (_sq_rows, 1, _ONE_T),
+        "dq-relation": (_dq_rows, 3, _T2_DIFF),
+    }
     relations = [(check, *table[check]) for check in checks]
     for n in ns:
         # G below has degree n + 1, so eliminating it needs Q_{n+1}
         kernel.extend(n + 2)
-        for check, rows, s in relations:
+        for check, rows, s, factor in relations:
             ex = kernel.fit(lambda qs, w, g: _expand_int(rows(qs[n], w, g), qs, w, g))
-            yield check, n, n + s, ex
+            yield check, n, n + s, {k: _pmul(factor, e) for k, e in ex.items()}
 
 
 def _x_rows(z: dict[int, Row], es: list[list[int]], w: int, g: int) -> list[Row]:
@@ -536,15 +550,19 @@ def _operator_xrows(
     """x-forms of p_0 .. p_(nmax+1), and of S_q p_n and U_2 D_q p_n, n <= nmax.
 
     All are read from the integer route's rows by `_fitted_xforms`:
-    Q_k / 2^k, `_sq_rows` of Q_n / 2^(n+1) and `_dq_rows` of
-    Q_n / 2^(n+3), at one slot width.
+    Q_k / 2^k, `_sq_rows` of Q_n / 2^(n+1) and t^2 - t^-2 times
+    `_dq_rows` of Q_n / 2^(n+3), at one slot width.
     """
+
+    def dq(q, w, g):
+        rows = _dq_rows(q, w, g)
+        return {m: _lincomb([(_T2_DIFF, r)], w, g) for m, r in rows.items()}
 
     def build(qs, x, w, g):
         return (
             [x(dict(enumerate(q)), k) for k, q in enumerate(qs)],
             [x(_sq_rows(qs[n], w, g), n + 1) for n in range(nmax + 1)],
-            [x(_dq_rows(qs[n], w, g), n + 3) for n in range(nmax + 1)],
+            [x(dq(qs[n], w, g), n + 3) for n in range(nmax + 1)],
         )
 
     return _fitted_xforms(nmax + 2, fam, build)

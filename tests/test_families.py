@@ -164,6 +164,19 @@ def test_suite_closed_forms_cohere():
     assert not inst.c_n4.has_u
 
 
+def test_dq_coefficients_divide_by_t2_minus_t_minus2():
+    # the closed-form side of the kernel's factored D_q elimination, whose
+    # E_k are t^2 - t^-2 times integer Laurent polynomials
+    s = coeff_suite()
+    d = tpow(2) - tpow(-2)
+    for c in (s.c_n1, s.c_n2, s.c_n3, s.c_n4):
+        assert (c / d) * d == c
+    # the S_q coefficients carry no such factor
+    for c in (s.alpha_n, s.c_n):
+        with pytest.raises(ExactDivisionError):
+            c / d
+
+
 def reference_suite() -> CoeffSuite:
     """The suite's formulas on Scalars, with gamma_n's denominator as the
     one division.

@@ -7,6 +7,7 @@ import pytest
 
 from qaw import structure
 from qaw.awcore import ALPHA2M1, OperatorContext, context, dq_apply, u2
+from qaw.cli import main
 from qaw.families import (
     FamilyParams,
     OPSFamily,
@@ -277,10 +278,14 @@ def test_neighbourhood_bandwidths(label):
     summary = bandwidth_scan(fam, u2(), 8)
     assert summary.rows == [(n, 2 if bounded else n, 1) for n in range(2, 9)]
     assert summary.status == ("pass" if bounded else "fail")
-    # the kernel's D_q expansions against the Q(t, u) reference
+    assert_dq_matches_qtu_route(fam, 6)
+
+
+def assert_dq_matches_qtu_route(fam, nmax):
+    """The kernel's D_q expansions for n <= nmax against the Q(t, u) reference."""
     ctx = context()
     u2z = x_to_z(u2())
-    for rep in iter_proposition_reports(6, fam):
+    for rep in iter_proposition_reports(nmax, fam):
         if rep.check == "dq-relation":
             ref = _expand_sym(u2z * ctx.dq_sym(fam.zpoly(rep.n)), fam)
             assert rep.coefficients == {k - rep.n: v for k, v in ref.items()}
@@ -296,7 +301,8 @@ GRID = [",".join(labels) for labels in itertools.combinations(GRID_VALUES, 3)]
 def test_neighbourhood_grid(label):
     labels = label.split(",")
     a, b, c = (GRID_VALUES[v] for v in labels)
-    summary = bandwidth_scan(dual_qhahn_family(FamilyParams(a, b, c, tpow(2))), u2(), 8)
+    fam = dual_qhahn_family(FamilyParams(a, b, c, tpow(2)))
+    summary = bandwidth_scan(fam, u2(), 8)
     # the four 3-subsets of {1, -1, t, -t} keep (2, 1) with c_{n,4} != 0;
     # the six sets with t^2 have r = n, up to r = 8
     bounded = "t^2" not in labels
@@ -304,6 +310,8 @@ def test_neighbourhood_grid(label):
     assert summary.status == ("pass" if bounded else "fail")
     if bounded:
         assert summary.offset_m2_all_nonzero
+    # where r = n, E_k is nonzero down to k = 0
+    assert_dq_matches_qtu_route(fam, 5)
 
 
 def scan_families():
@@ -351,6 +359,18 @@ def test_scan_and_relation_expand_only_u2_dq(monkeypatch):
     assert rep.status == "pass" and rep.bandwidth == (2, 1)
     # one expansion, of the nine rows of Q_8
     assert [len(q) for q in calls] == [9]
+
+
+def test_wrong_dq_factor_fails_every_dq_relation(monkeypatch):
+    # t^2 + t^-2 in place of the factor that the D_q rows leave out: the
+    # factored elimination cannot silently agree with the closed forms
+    monkeypatch.setattr(structure, "_T2_DIFF", {2: 1, -2: 1})
+    status = {(r.check, r.n): r.status for r in verify_proposition(6)}
+    assert {status["sq-relation", n] for n in range(7)} == {"pass"}
+    # U_2 D_q P_0 = 0, which any factor keeps
+    assert status["dq-relation", 0] == "pass"
+    assert {status["dq-relation", n] for n in range(1, 7)} == {"fail"}
+    assert main(["verify", "proposition", "--n-max", "6"]) == 1
 
 
 def test_stride_follows_the_data():
