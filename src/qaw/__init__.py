@@ -6,7 +6,7 @@ identities can be certified either for one index at a time or once for
 all indices.
 """
 
-from .awcore import ALPHA, ALPHA2M1, OperatorContext, context, dq_apply, sq_apply, u2
+from .awcore import ALPHA, ALPHA2M1, OperatorContext, context, u2
 from .families import (
     COUNTEREXAMPLE_PARAMS,
     CoeffSuite,
@@ -40,9 +40,7 @@ from .structure import (
     bandwidth_scan,
     expand_in_basis,
     iter_proposition_reports,
-    offset_m2_witness,
     structure_relation,
-    verify_proposition,
 )
 from .textio import ParseError, format_record
 from .zsym import XPoly, ZLaurent, x_to_z, z_to_x
@@ -76,7 +74,6 @@ __all__ = [
     "coeff_suite",
     "context",
     "counterexample_family",
-    "dq_apply",
     "dual_qhahn_family",
     "dual_qhahn_rec_coeffs",
     "eval_poly",
@@ -87,14 +84,11 @@ __all__ = [
     "lattice_dq",
     "lattice_sq",
     "numeric_crosscheck",
-    "offset_m2_witness",
     "rational",
-    "sq_apply",
     "structure_relation",
     "tpow",
     "u2",
     "upow",
-    "verify_proposition",
     "x_to_z",
     "z_to_x",
 ]

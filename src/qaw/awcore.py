@@ -32,8 +32,8 @@ from .zsym import XPoly, ZLaurent, x_to_z, z_to_x
 class OperatorContext:
     """Precomputed constants for applying D_q and S_q.
 
-    The context is stateless after construction; a module-level default
-    instance backs the convenience functions below.
+    The context is stateless after construction; `context()` returns
+    the module-level default instance, which also backs `u2()`.
     """
 
     def __init__(self):
@@ -85,14 +85,6 @@ _DEFAULT = OperatorContext()
 
 def context() -> OperatorContext:
     return _DEFAULT
-
-
-def dq_apply(f: XPoly) -> XPoly:
-    return _DEFAULT.dq(f)
-
-
-def sq_apply(f: XPoly) -> XPoly:
-    return _DEFAULT.sq(f)
 
 
 def u2() -> XPoly:

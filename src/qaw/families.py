@@ -57,11 +57,9 @@ class OPSFamily:
         self,
         rec_a: Callable[[int], Scalar],
         rec_b: Callable[[int], Scalar],
-        name: str = "",
     ):
         self.rec_a = rec_a
         self.rec_b = rec_b
-        self.name = name
         self._lock = threading.Lock()
         self._zs: list[ZLaurent] = [ZLaurent({0: ONE})]
 
@@ -162,7 +160,7 @@ def dual_qhahn_family(p: FamilyParams) -> OPSFamily:
     def rb(n: int) -> Scalar:
         return dual_qhahn_rec_coeffs(p, p.base ** n)[1]
 
-    return OPSFamily(ra, rb, name="dual-q-hahn")
+    return OPSFamily(ra, rb)
 
 
 # closed-form recurrence coefficients of the counterexample family,
@@ -179,7 +177,6 @@ def counterexample_family() -> OPSFamily:
     return OPSFamily(
         lambda n: B_SYM.instantiate_n(n),
         lambda n: C_SYM.instantiate_n(n),
-        name="counterexample",
     )
 
 

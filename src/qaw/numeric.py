@@ -23,7 +23,7 @@ import math
 from typing import NamedTuple
 
 from .awcore import u2
-from .families import OPSFamily, counterexample_family
+from .families import counterexample_family
 from .structure import (
     XRows,
     _expected,
@@ -134,22 +134,20 @@ class NumericSummary(NamedTuple):
         return rec
 
 
-def numeric_crosscheck(
-    cfg: NumericConfig, nmax: int, fam: OPSFamily | None = None
-) -> NumericSummary:
-    """Both relations for n <= nmax on the configured grid.
+def numeric_crosscheck(cfg: NumericConfig, nmax: int) -> NumericSummary:
+    """Both relations of the counterexample family for n <= nmax on the grid.
 
     At every grid point three values of each side are compared: the
     float lattice operator, the Horner value of the exact operator
     output, and the closed-form right-hand side.  A grid point where the
     float pipeline breaks down (a deviation that is not finite, or an
     evaluation that divides by zero or overflows) fails the check and is
-    named in `worst`.  The family's 2 a_n and 4 b_n must be integral,
-    u-free Laurent polynomials in t, or ValueError.
+    named in `worst`.  The closed forms are the counterexample's, so
+    the check takes no other family.
     """
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
-    polys, sq_exact, dq_exact = _operator_xrows(nmax, fam or counterexample_family())
+    polys, sq_exact, dq_exact = _operator_xrows(nmax, counterexample_family())
     weight = u2()
     worst = 0.0
     worst_at = ""

@@ -425,29 +425,22 @@ class Scalar:
                     del out[k]
         return Scalar(out)
 
-    def evaluate(self, q0: float, n: int | None = None) -> float:
-        """Evaluate at a numeric q0 in (0, 1), with t = q0^(1/4).
+    def evaluate(self, q0: float) -> float:
+        """Evaluate a u-free scalar at a numeric q0 in (0, 1), with t = q0^(1/4).
 
-        A scalar that mentions u needs the integer n supplying
-        u = q0^(n/2).  The value is summed as the true polynomial
-        t^di u^dj s, in term order, and then divided by t^di u^dj, where
-        di and dj clear the negative exponents.
+        The value is summed as the true polynomial t^d s, in term order,
+        and then divided by t^d, where d clears the negative exponents.
+        A scalar that mentions u raises ValueError; `instantiate_n` first.
         """
         if not 0.0 < q0 < 1.0:
             raise ValueError("q0 must lie strictly between 0 and 1")
-        if n is None and self.has_u:
-            raise ValueError("scalar depends on u; supply n")
-
-        def power(i: int, j: int) -> float:
-            return q0 ** (0.25 * i + (0.5 * n * j if j else 0.0))
-
-        mi, mj = _pmins(self._t) if self._t else (0, 0)
-        di, dj = max(0, -mi), max(0, -mj)
+        if self.has_u:
+            raise ValueError("scalar depends on u; instantiate n first")
+        d = max(0, -_pmins(self._t)[0]) if self._t else 0
         s = 0.0
         for k, c in self._t.items():
-            i, j = _unpack(k)
-            s += float(c) * power(i + di, j + dj)
-        return s / power(di, dj)
+            s += float(c) * q0 ** (0.25 * (_unpack(k)[0] + d))
+        return s / q0 ** (0.25 * d)
 
     # -- rendering ---------------------------------------------------------
 
@@ -455,11 +448,6 @@ class Scalar:
         from . import textio
 
         return textio.render_scalar(self)
-
-    def to_latex(self) -> str:
-        from . import textio
-
-        return textio.latex_scalar(self)
 
     def __str__(self) -> str:
         return self.render()
@@ -507,4 +495,3 @@ ONE = rational(1)
 HALF = rational(1, 2)
 T = tpow(1)
 U = upow(1)
-Q = tpow(4)

@@ -109,25 +109,8 @@ from struct import calcsize
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .awcore import u2
-from .families import (
-    C_SYM,
-    OPSFamily,
-    coeff_suite,
-    counterexample_family,
-)
-from .scalar import (
-    HALF,
-    ONE,
-    Rat,
-    Scalar,
-    T,
-    U,
-    ZERO,
-    _padd,
-    _pmul,
-    _psub,
-    tpow,
-)
+from .families import OPSFamily, coeff_suite, counterexample_family
+from .scalar import Rat, Scalar, ZERO, _padd, _pmul, _psub
 from .zsym import XPoly, ZLaurent, _e_table, x_to_z
 
 
@@ -621,13 +604,6 @@ def iter_proposition_reports(
         yield _offsets_report(check, n, _scalars(ex, shift), _expected(check, n))
 
 
-def verify_proposition(
-    nmax: int, fam: OPSFamily | None = None
-) -> list[StructureReport]:
-    """Both relations for every n <= nmax; failures are data, not errors."""
-    return list(iter_proposition_reports(nmax, fam))
-
-
 class BandwidthSummary(NamedTuple):
     """Aggregate of the D_q relation's shape over 2 <= n <= nmax."""
 
@@ -693,16 +669,3 @@ def bandwidth_scan(
     return BandwidthSummary(
         nmax, rows, max_r, max_s, all_nonzero, "pass" if ok else "fail"
     )
-
-
-def offset_m2_witness() -> tuple[Scalar, Scalar]:
-    """The offset -2 coefficient and its symbolic factorization.
-
-    c_{n,4} factors as C_{n-1} C_n u^-1 t (t^2 - t^-2)/2, a product of
-    elements that are nonzero in the ring; its nonvanishing for every
-    n >= 2 is what pins the bandwidth at r = 2.
-    """
-    factored = (
-        C_SYM.shift_n(-1) * C_SYM * (ONE / U) * T * (tpow(2) - tpow(-2)) * HALF
-    )
-    return coeff_suite().c_n4, factored

@@ -332,10 +332,6 @@ def render_scalar(s: Scalar) -> str:
     return _render_terms(s.laurent_terms(), _TEXT)
 
 
-def latex_scalar(s: Scalar) -> str:
-    return _render_terms(s.laurent_terms(), _LATEX)
-
-
 def render_xpoly(f: XPoly) -> str:
     return _var_poly(_xpairs(f), "x", _TEXT)
 

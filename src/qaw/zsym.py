@@ -70,13 +70,6 @@ class XPoly:
         return cls._raw((ZERO, ONE))
 
     @classmethod
-    def monomial(cls, k: int, coeff=1) -> "XPoly":
-        s = as_scalar(coeff)
-        if s.is_zero:
-            return cls.zero()
-        return cls._raw((ZERO,) * k + (s,))
-
-    @classmethod
     def parse(cls, text: str) -> "XPoly":
         from . import textio
 
@@ -110,6 +103,10 @@ class XPoly:
         return self._c == other._c
 
     def __hash__(self) -> int:
+        # a constant hashes as the Scalar it equals, as `==` makes it
+        # equal to one, and the zero polynomial as ZERO
+        if len(self._c) < 2:
+            return hash(self._c[0] if self._c else ZERO)
         return hash(self._c)
 
     # -- arithmetic --------------------------------------------------------

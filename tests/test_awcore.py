@@ -2,7 +2,7 @@
 
 import random
 
-from qaw.awcore import ALPHA, ALPHA2M1, OperatorContext, context, dq_apply, sq_apply, u2
+from qaw.awcore import ALPHA, ALPHA2M1, OperatorContext, context, u2
 from qaw.families import counterexample_family
 from qaw.scalar import HALF, ONE, U, ZERO, Scalar, rational, tpow, upow
 from qaw.zsym import XPoly, ZLaurent, x_to_z
@@ -10,6 +10,7 @@ from test_zsym import z_scale
 
 X = XPoly.x()
 T2 = tpow(2)
+CTX = context()
 
 
 def gamma_at(n):
@@ -40,7 +41,7 @@ def check_dq_against_lattice(f, expected):
     g = x_to_z(f)
     diff = z_scale(g, 1) - z_scale(g, -1)
     assert x_to_z(expected) * delta_half_step() == diff
-    assert dq_apply(f) == expected
+    assert CTX.dq(f) == expected
 
 
 def test_alpha_constants():
@@ -50,7 +51,7 @@ def test_alpha_constants():
 
 
 def test_dq_examples():
-    assert dq_apply(XPoly([rational(7)])) == XPoly.zero()
+    assert CTX.dq(XPoly([rational(7)])) == XPoly.zero()
     check_dq_against_lattice(X, XPoly.one())
     check_dq_against_lattice(X ** 2, X.scale(ALPHA * 2))
     g3 = gamma_at(3)
@@ -58,12 +59,12 @@ def test_dq_examples():
 
 
 def test_sq_examples():
-    assert sq_apply(XPoly.one()) == XPoly.one()
-    assert sq_apply(X) == X.scale(ALPHA)
+    assert CTX.sq(XPoly.one()) == XPoly.one()
+    assert CTX.sq(X) == X.scale(ALPHA)
     expected = (X ** 2).scale(ALPHA * ALPHA * 2 - ONE) + XPoly([ONE - ALPHA * ALPHA])
-    assert sq_apply(X ** 2) == expected
+    assert CTX.sq(X ** 2) == expected
     # product-rule cross-check: S_q(x*x) = (D_q x)^2 U_2 + (S_q x)^2
-    assert expected == u2() + sq_apply(X) * sq_apply(X)
+    assert expected == u2() + CTX.sq(X) * CTX.sq(X)
 
 
 def test_u2_shape():
@@ -80,10 +81,10 @@ def test_product_rules():
     for _ in range(40):
         f = rand_xpoly(rng, rng.randint(0, 8))
         g = rand_xpoly(rng, rng.randint(0, 8))
-        df, dg = dq_apply(f), dq_apply(g)
-        sf, sg = sq_apply(f), sq_apply(g)
-        assert dq_apply(f * g) == df * sg + sf * dg
-        assert sq_apply(f * g) == df * dg * w + sf * sg
+        df, dg = CTX.dq(f), CTX.dq(g)
+        sf, sg = CTX.sq(f), CTX.sq(g)
+        assert CTX.dq(f * g) == df * sg + sf * dg
+        assert CTX.sq(f * g) == df * dg * w + sf * sg
 
 
 def test_linearity():
@@ -93,8 +94,8 @@ def test_linearity():
         f = rand_xpoly(rng, 6)
         g = rand_xpoly(rng, 6)
         combo = f.scale(c1) + g.scale(c2)
-        assert dq_apply(combo) == dq_apply(f).scale(c1) + dq_apply(g).scale(c2)
-        assert sq_apply(combo) == sq_apply(f).scale(c1) + sq_apply(g).scale(c2)
+        assert CTX.dq(combo) == CTX.dq(f).scale(c1) + CTX.dq(g).scale(c2)
+        assert CTX.sq(combo) == CTX.sq(f).scale(c1) + CTX.sq(g).scale(c2)
 
 
 def test_degree_and_leading_laws():
@@ -103,24 +104,24 @@ def test_degree_and_leading_laws():
         f = rand_xpoly(rng, deg)
         if f.degree != deg:
             continue
-        df = dq_apply(f)
+        df = CTX.dq(f)
         assert df.degree == deg - 1
         assert df.leading == gamma_at(deg) * f.leading
-        sf = sq_apply(f)
+        sf = CTX.sq(f)
         assert sf.degree == deg
         assert sf.leading == alpha_at(deg) * f.leading
 
 
 def test_sq_degree_zero():
     f = XPoly([tpow(5)])
-    assert sq_apply(f) == f
+    assert CTX.sq(f) == f
 
 
 def test_sym_side_operators():
     ctx = context()
     g = x_to_z(X ** 3 - X.scale(tpow(2)))
-    assert ctx.dq_sym(g) == x_to_z(dq_apply(X ** 3 - X.scale(tpow(2))))
-    assert ctx.sq_sym(g) == x_to_z(sq_apply(X ** 3 - X.scale(tpow(2))))
+    assert ctx.dq_sym(g) == x_to_z(ctx.dq(X ** 3 - X.scale(tpow(2))))
+    assert ctx.sq_sym(g) == x_to_z(ctx.sq(X ** 3 - X.scale(tpow(2))))
     assert ctx.dq_sym(g).is_symmetric()
     assert ctx.sq_sym(g).is_symmetric()
 
@@ -169,5 +170,5 @@ def test_operators_do_not_divide(monkeypatch):
 
     monkeypatch.setattr(Scalar, "__truediv__", refuse)
     monkeypatch.setattr(ZLaurent, "divide_exact", refuse)
-    assert dq_apply(f).degree == 9
-    assert sq_apply(f).degree == 10
+    assert CTX.dq(f).degree == 9
+    assert CTX.sq(f).degree == 10

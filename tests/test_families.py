@@ -114,6 +114,17 @@ def test_substitution_consistency_symbolic():
     assert bn == C_SYM
 
 
+def test_one_t_minus_t_is_al_salam_chihara():
+    # (1, t, -t | t^2) is Al-Salam-Chihara with (alpha, beta) = (1, t^2) in
+    # base q = t^4 (Koekoek-Lesky-Swarttouw 14.8), whose monic recurrence
+    # has a_n = (alpha + beta) q^n / 2 and
+    # b_n = (1 - q^n)(1 - alpha beta q^(n-1)) / 4; here q^n = u^2
+    an, bn = dual_qhahn_rec_coeffs(FamilyParams(ONE, T, -T, tpow(2)), U)
+    alpha, beta, q, qn = ONE, tpow(2), tpow(4), U * U
+    assert an == (alpha + beta) * qn / 2
+    assert bn == (ONE - qn) * (ONE - alpha * beta * qn / q) / 4
+
+
 def test_aw_hyp_poly_small():
     p = COUNTEREXAMPLE_PARAMS
     assert aw_hyp_poly(0, p.a, p.b, p.c, ZERO, p.base) == XPoly.one()
@@ -307,7 +318,7 @@ def test_c_positivity_at_sampled_q():
 
 
 def test_custom_family_recurrence():
-    fam = OPSFamily(lambda n: ZERO, lambda n: rational(1), name="chebyshev-like")
+    fam = OPSFamily(lambda n: ZERO, lambda n: rational(1))
     # p_{n+1} = x*p_n - p_{n-1} with a_n = 0, b_n = 1
     assert fam.poly(2) == X ** 2 - 1
     assert fam.poly(3) == X ** 3 - X.scale(rational(2))

@@ -6,16 +6,17 @@ import random
 import pytest
 
 from qaw import structure
-from qaw.awcore import ALPHA2M1, OperatorContext, context, dq_apply, u2
+from qaw.awcore import ALPHA2M1, OperatorContext, context, u2
 from qaw.cli import main
 from qaw.families import (
+    C_SYM,
     FamilyParams,
     OPSFamily,
     coeff_suite,
     counterexample_family,
     dual_qhahn_family,
 )
-from qaw.scalar import ONE, Scalar, ZERO, rational, tpow
+from qaw.scalar import ONE, Scalar, T, U, ZERO, rational, tpow
 from qaw.structure import (
     _Widen,
     _expand_int,
@@ -29,13 +30,12 @@ from qaw.structure import (
     bandwidth_scan,
     expand_in_basis,
     iter_proposition_reports,
-    offset_m2_witness,
     structure_relation,
-    verify_proposition,
 )
 from qaw.zsym import XPoly, x_to_z
 
 X = XPoly.x()
+CTX = context()
 
 
 def bumped_family(bump):
@@ -114,7 +114,7 @@ def test_relation_matches_x_side_pipeline():
     fam = counterexample_family()
     for n in range(11):
         rep = structure_relation(fam, w, n)
-        direct = expand_in_basis(w * dq_apply(fam.poly(n)), fam)
+        direct = expand_in_basis(w * CTX.dq(fam.poly(n)), fam)
         for k, c in enumerate(direct):
             assert rep.coefficients.get(k - n, ZERO) == c
 
@@ -129,11 +129,9 @@ def test_residuals_reported_on_mismatch():
 
 
 def test_verify_proposition_base():
-    reports = verify_proposition(0)
+    reports = list(iter_proposition_reports(0))
     assert [r.check for r in reports] == ["sq-relation", "dq-relation"]
     assert all(r.status == "pass" for r in reports)
-    with pytest.raises(ValueError):
-        verify_proposition(-1)
 
 
 def test_negative_nmax_is_refused():
@@ -143,7 +141,7 @@ def test_negative_nmax_is_refused():
 
 
 def test_verify_proposition_small_sweep():
-    reports = verify_proposition(8)
+    reports = list(iter_proposition_reports(8))
     assert len(reports) == 18
     assert all(r.status == "pass" for r in reports)
     sq = [r for r in reports if r.check == "sq-relation" and r.n >= 1]
@@ -183,16 +181,15 @@ def test_corrupted_coefficient_fails(bump, integral):
         # reads b_3 raises, and those that stop short of it still pass
         for read_b3 in (
             lambda: _int_recurrence(fam, 3),
-            lambda: verify_proposition(6, fam),
             lambda: list(iter_proposition_reports(6, fam)),
             lambda: structure_relation(fam, u2(), 6),
             lambda: bandwidth_scan(fam, u2(), 6),
         ):
             with pytest.raises(ValueError, match="integral 2 a_n and 4 b_n"):
                 read_b3()
-        assert all(r.status == "pass" for r in verify_proposition(2, fam))
+        assert all(r.status == "pass" for r in iter_proposition_reports(2, fam))
         return
-    reports = verify_proposition(6, fam)
+    reports = list(iter_proposition_reports(6, fam))
     assert len(reports) == 14
     # P_0 .. P_3 do not read b_3; the D_q relation at n = 3 expands
     # against P_4, which does
@@ -206,7 +203,7 @@ def test_degree_sanity():
     fam = counterexample_family()
     w = u2()
     for n in range(1, 11):
-        assert (w * dq_apply(fam.poly(n))).degree == n + 1
+        assert (w * CTX.dq(fam.poly(n))).degree == n + 1
 
 
 def test_bandwidth_scan():
@@ -365,7 +362,7 @@ def test_wrong_dq_factor_fails_every_dq_relation(monkeypatch):
     # t^2 + t^-2 in place of the factor that the D_q rows leave out: the
     # factored elimination cannot silently agree with the closed forms
     monkeypatch.setattr(structure, "_T2_DIFF", {2: 1, -2: 1})
-    status = {(r.check, r.n): r.status for r in verify_proposition(6)}
+    status = {(r.check, r.n): r.status for r in iter_proposition_reports(6)}
     assert {status["sq-relation", n] for n in range(7)} == {"pass"}
     # U_2 D_q P_0 = 0, which any factor keeps
     assert status["dq-relation", 0] == "pass"
@@ -402,7 +399,7 @@ def big_a_family():
 )
 def test_tiny_slot_width_widens_to_the_same_reports(monkeypatch, make, nmax, first):
     def reports():
-        return [(r.record(), r.coefficients) for r in verify_proposition(nmax, make())]
+        return [(r.record(), r.coefficients) for r in iter_proposition_reports(nmax, make())]
 
     want = reports()
     builds = []
@@ -489,14 +486,16 @@ def test_offset_off_the_stride_is_refused(monkeypatch):
     params, _ = NEIGHBOURS["t,t^2,t^3|t^4"]
     for fam in (dual_qhahn_family(FamilyParams(*params)), bumped_family(tpow(5))):
         with pytest.raises(ArithmeticError):
-            verify_proposition(6, fam)
+            list(iter_proposition_reports(6, fam))
 
 
 def test_offset_m2_witness():
-    got, factored = offset_m2_witness()
-    assert got == factored
-    assert not got.is_zero
+    # c_{n,4} factors as C_{n-1} C_n u^-1 t (t^2 - t^-2)/2, and C_n
+    # vanishes only at n = 0, which pins the bandwidth at r = 2 from n = 2 on
     s = coeff_suite()
+    got = s.c_n4
+    assert got == C_SYM.shift_n(-1) * C_SYM / U * T * (tpow(2) - tpow(-2)) / 2
+    assert not got.is_zero
     # spot value at n = 2: c_1 C_2 - alpha c_2 C_1
     alpha = (tpow(2) + tpow(-2)) * Scalar.parse("1/2")
     c1, c2 = s.c_n.instantiate_n(1), s.c_n.instantiate_n(2)

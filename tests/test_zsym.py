@@ -40,7 +40,16 @@ def test_xpoly_basics():
     assert XPoly.zero().degree == NEG_INF
     assert not XPoly.zero()
     assert XPoly([0, 0, 0]) == XPoly.zero()
-    assert XPoly.monomial(3, 2) == XPoly([0, 0, 0, 2])
+
+
+def test_constant_xpoly_hashes_as_its_scalar():
+    # `==` makes a constant XPoly equal to the Scalar (or int) it holds,
+    # so both must land on one set element and one dict key
+    assert XPoly.one() == ONE and len({XPoly.one(), ONE}) == 1
+    assert XPoly.zero() == 0 and hash(XPoly.zero()) == hash(0)
+    assert len({XPoly.zero(), ZERO, 0}) == 1
+    assert {XPoly([T]): "t"}[T] == "t"
+    assert hash(XPoly([HALF])) == hash(HALF)
 
 
 def test_xpoly_arith():
