@@ -10,6 +10,7 @@ is a nightly job.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import platform
 import sys
@@ -149,6 +150,8 @@ def _cmd_eval(args) -> int:
         raise ValueError("--n must be nonnegative")
     if not 0.0 < args.q < 1.0:
         raise ValueError("--q must lie strictly between 0 and 1")
+    if not math.isfinite(args.x):
+        raise ValueError("--x must be finite")
     (cs,) = _xrow_floats(_poly_xrows(args.n, counterexample_family()), (args.q,))
     print(eval_poly(cs, args.q, args.x))
     return 0

@@ -18,6 +18,11 @@ would stand for lies outside the ring.  Division by a monomial is a
 shift; any other divisor goes through one exact long division of true
 polynomials, and never through a gcd.
 
+The dict kernels here (`_padd`, `_psub`, `_pmul`, `_collect`, `_pdiv`,
+`_power`) are the only arithmetic loops of the package: `XPoly` and
+`ZLaurent` run the same ones on dicts of Scalar coefficients, keyed by
+degree in x or exponent of z.
+
 Exponent pairs (i, j) are packed into a single integer key
 (i << 32) + j, which turns monomial multiplication into integer
 addition.  The packing is unambiguous for |j| < 2^31, far beyond
@@ -61,9 +66,11 @@ def _unpack(key: int) -> tuple[int, int]:
     return (key - j) >> _SHIFT, j
 
 
-def _check_exponents(i: int, j: int) -> None:
+def _checked_key(i: int, j: int) -> int:
+    """The packed key of t^i u^j; OverflowError beyond MAX_EXPONENT."""
     if abs(i) > MAX_EXPONENT or abs(j) > MAX_EXPONENT:
         raise OverflowError("exponent (%d, %d) out of supported range" % (i, j))
+    return _pack(i, j)
 
 
 def _max_exponent(s: "Scalar") -> int:
@@ -76,8 +83,27 @@ def _max_exponent(s: "Scalar") -> int:
 
 
 # ---------------------------------------------------------------------------
-# raw dict arithmetic: {packed exponent: nonzero Rat}
+# raw dict arithmetic: {key: nonzero coefficient}
 # ---------------------------------------------------------------------------
+
+
+def _collect(items) -> dict:
+    """Sum (key, value) pairs by key, in first-seen order.
+
+    A zero value is not stored, and a key whose sum cancels is removed,
+    so it goes to the end if it comes back.
+    """
+    out: dict = {}
+    get = out.get
+    for k, c in items:
+        s = get(k)
+        if s is not None:
+            c = s + c
+        if c:
+            out[k] = c
+        elif s is not None:
+            del out[k]
+    return out
 
 
 def _padd(a: dict, b: dict) -> dict:
@@ -144,17 +170,32 @@ def _pmins(a: dict) -> tuple[int, int]:
     return min(i for i, _ in pairs), min(j for _, j in pairs)
 
 
+def _power(base, e: int, one):
+    """base ** e for e >= 0, by repeated squaring."""
+    out = one
+    while e:
+        if e & 1:
+            out = out * base
+        base = base * base if e > 1 else base
+        e >>= 1
+    return out
+
+
 # ---------------------------------------------------------------------------
 # exact division over Q[t, u]
 #
-# Inputs here are true polynomials (all exponents nonnegative), and the
-# divisor has no monomial factor; `Scalar.__truediv__` shifts both sides
-# there.  A Laurent quotient is then a true polynomial (t and u are primes
-# that do not divide the divisor), so the division succeeds exactly when
-# the quotient is Laurent.  It walks lexicographically leading terms; the
+# `_pdiv_exact` takes true polynomials (all exponents nonnegative) and a
+# divisor with no monomial factor; `_pdiv` shifts both sides there.  A
+# Laurent quotient is then a true polynomial (t and u are primes that do
+# not divide the divisor), so the division succeeds exactly when the
+# quotient is Laurent.  It walks lexicographically leading terms; the
 # quotient of an exact division is produced in strictly decreasing key
 # order, so the loop terminates, and it raises exactly when b does not
 # divide a.
+#
+# Coefficients only need `/` to be exact or raise, so ZLaurent divides
+# here too: its z^m key is the packed key of t^0 u^m, for |m| < 2^31,
+# and a Scalar coefficient that leaves the ring raises in its own `/`.
 # ---------------------------------------------------------------------------
 
 
@@ -190,6 +231,19 @@ def _pdiv_exact(a: dict, b: dict) -> dict:
     return quo
 
 
+def _pdiv(a: dict, b: dict) -> dict:
+    """The exact Laurent quotient a / b; raises ExactDivisionError if none."""
+    if not b:
+        raise ZeroDivisionError("division by zero")
+    if not a:
+        return {}
+    if len(b) == 1:
+        ((kb, cb),) = b.items()
+        return {k - kb: c / cb for k, c in a.items()}
+    ka, kb = _pack(*_pmins(a)), _pack(*_pmins(b))
+    return _pshift(_pdiv_exact(_pshift(a, -ka), _pshift(b, -kb)), ka - kb)
+
+
 # ---------------------------------------------------------------------------
 # Scalar
 # ---------------------------------------------------------------------------
@@ -199,17 +253,7 @@ _ONE_DICT = {0: _R1}
 
 def _terms_dict(terms) -> dict:
     items = terms.items() if isinstance(terms, Mapping) else terms
-    out: dict = {}
-    for (i, j), c in items:
-        _check_exponents(i, j)
-        c = Rat(c)
-        if c:
-            k = _pack(i, j)
-            s = out.get(k)
-            out[k] = c if s is None else s + c
-            if not out[k]:
-                del out[k]
-    return out
+    return _collect((_checked_key(i, j), Rat(c)) for (i, j), c in items)
 
 
 class Scalar:
@@ -348,17 +392,7 @@ class Scalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._t, other._t
-        if not b:
-            raise ZeroDivisionError("scalar division by zero")
-        if not a:
-            return ZERO
-        if len(b) == 1:
-            ((kb, cb),) = b.items()
-            return Scalar({k - kb: c / cb for k, c in a.items()})
-        ka, kb = _pack(*_pmins(a)), _pack(*_pmins(b))
-        quo = _pdiv_exact(_pshift(a, -ka), _pshift(b, -kb))
-        return Scalar(_pshift(quo, ka - kb))
+        return Scalar(_pdiv(self._t, other._t))
 
     def __rtruediv__(self, other) -> "Scalar":
         other = _coerce(other)
@@ -375,14 +409,7 @@ class Scalar:
             raise OverflowError("power %d leaves the supported exponent range" % e)
         if e < 0:
             return (ONE / self) ** (-e)
-        out = ONE
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return out
+        return _power(self, e, ONE)
 
     def scale(self, c: RatLike) -> "Scalar":
         """Multiply by a plain rational."""
@@ -410,20 +437,10 @@ class Scalar:
         """
         if not self.has_u:
             return self
-        out: dict = {}
-        for key, c in self._t.items():
-            j = ((key + _HALF) & _MASK) - _HALF
-            k = key + ((2 * n * j) << _SHIFT) - j
-            s = out.get(k)
-            if s is None:
-                out[k] = c
-            else:
-                s = s + c
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-        return Scalar(out)
+        # t^i u^j -> t^(i + 2nj): the key moves by j (2n << _SHIFT) - j
+        d = (2 * n << _SHIFT) - 1
+        m = _HALF
+        return Scalar(_collect((k + d * (((k + m) & _MASK) - m), c) for k, c in self._t.items()))
 
     def evaluate(self, q0: float) -> float:
         """Evaluate a u-free scalar at a numeric q0 in (0, 1), with t = q0^(1/4).
@@ -481,13 +498,11 @@ def rational(p: RatLike, q: RatLike = 1) -> Scalar:
 
 
 def tpow(i: int) -> Scalar:
-    _check_exponents(i, 0)
-    return Scalar({_pack(i, 0): _R1})
+    return Scalar({_checked_key(i, 0): _R1})
 
 
 def upow(j: int) -> Scalar:
-    _check_exponents(0, j)
-    return Scalar({_pack(0, j): _R1})
+    return Scalar({_checked_key(0, j): _R1})
 
 
 ZERO = rational(0)

@@ -41,6 +41,8 @@ class ParseError(ValueError):
 # ---------------------------------------------------------------------------
 
 _OPS = set("+-*/^()")
+# ASCII only: str.isdigit also accepts digits such as '²' and '٣'
+_DIGITS = set("0123456789")
 _RANGE_MSG = "exponent beyond the supported range |e| <= %d" % MAX_EXPONENT
 _RING_MSG = "result is not a Laurent polynomial in t and u"
 
@@ -80,9 +82,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             toks.append(("num", text[i:j], i))
             i = j

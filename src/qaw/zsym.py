@@ -10,7 +10,9 @@ supplies the two types that pipeline needs:
     ZLaurent  Laurent polynomial in z, sparse
 
 plus the two exact conversions between XPoly and the ZLaurents that are
-symmetric under z -> z^-1.
+symmetric under z -> z^-1.  Both types compute with the dict kernels of
+`scalar`: XPoly on its sparse form {degree: Scalar}, ZLaurent on its
+{exponent: Scalar}, whose key z^m `_pdiv` reads as t^0 u^m.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from math import comb
 from math import inf as _INF
 from typing import Iterable, Iterator
 
-from .scalar import ExactDivisionError, Rat, Scalar, as_scalar, ZERO, ONE
-from .scalar import _padd, _pmul, _psub
+from .scalar import Rat, Scalar, as_scalar, ZERO, ONE
+from .scalar import _collect, _padd, _pdiv, _pmul, _power, _psub
 
 NEG_INF = -_INF
 
@@ -56,6 +58,14 @@ class XPoly:
         p = XPoly.__new__(XPoly)
         p._c = coeffs
         return p
+
+    # the sparse form {degree: nonzero coefficient} that the dict kernels take
+    def _sparse(self) -> dict:
+        return {k: c for k, c in enumerate(self._c) if c}
+
+    @staticmethod
+    def _dense(terms: dict) -> "XPoly":
+        return XPoly._raw(tuple(terms.get(k, ZERO) for k in range(max(terms, default=-1) + 1)))
 
     @classmethod
     def zero(cls) -> "XPoly":
@@ -118,15 +128,7 @@ class XPoly:
         other = _as_xpoly(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._c, other._c
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, v in enumerate(b):
-            out[k] = out[k] + v
-        while out and out[-1].is_zero:
-            out.pop()
-        return XPoly._raw(tuple(out))
+        return XPoly._dense(_padd(self._sparse(), other._sparse()))
 
     __radd__ = __add__
 
@@ -146,31 +148,14 @@ class XPoly:
         other = _as_xpoly(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._c, other._c
-        if not a or not b:
-            return XPoly.zero()
-        out = [ZERO] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai.is_zero:
-                continue
-            for j, bj in enumerate(b):
-                out[i + j] = out[i + j] + ai * bj
-        while out and out[-1].is_zero:
-            out.pop()
-        return XPoly._raw(tuple(out))
+        return XPoly._dense(_pmul(self._sparse(), other._sparse()))
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "XPoly":
         if not isinstance(e, int) or e < 0:
             return NotImplemented
-        out, base = XPoly.one(), self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return out
+        return _power(self, e, XPoly.one())
 
     def scale(self, c) -> "XPoly":
         s = as_scalar(c)
@@ -206,19 +191,9 @@ class ZLaurent:
 
     __slots__ = ("_t",)
 
-    def __init__(self, terms=None):
-        t: dict[int, Scalar] = {}
-        if terms:
-            items = terms.items() if hasattr(terms, "items") else terms
-            for m, c in items:
-                s = as_scalar(c)
-                if m in t:
-                    s = t[m] + s
-                if s:
-                    t[m] = s
-                else:
-                    t.pop(m, None)
-        self._t = t
+    def __init__(self, terms=()):
+        items = terms.items() if hasattr(terms, "items") else terms
+        self._t = _collect((m, as_scalar(c)) for m, c in items)
 
     @staticmethod
     def _raw(t: dict) -> "ZLaurent":
@@ -284,24 +259,7 @@ class ZLaurent:
 
     def divide_exact(self, den: "ZLaurent") -> "ZLaurent":
         """Exact Laurent division; raises ExactDivisionError on remainder."""
-        if not den._t:
-            raise ZeroDivisionError("z-side division by zero")
-        if not self._t:
-            return ZLaurent._raw({})
-        num = dict(self._t)
-        top = max(den._t)
-        lead = den._t[top]
-        rest = [(dm, dc) for dm, dc in den._t.items() if dm != top]
-        bound = min(num) - min(den._t)
-        quo: dict[int, Scalar] = {}
-        while num:
-            m = max(num)
-            e = m - top
-            if e < bound:
-                raise ExactDivisionError("z-side division leaves a remainder")
-            c = quo[e] = num.pop(m) / lead
-            num = _psub(num, {dm + e: dc * c for dm, dc in rest})
-        return ZLaurent._raw(quo)
+        return ZLaurent._raw(_pdiv(self._t, den._t))
 
     # -- rendering ---------------------------------------------------------
 
@@ -350,19 +308,8 @@ def z_to_x(g: ZLaurent) -> XPoly:
     """
     if not g.is_symmetric():
         raise ValueError("cannot express an asymmetric polynomial in x")
-    if not g:
-        return XPoly.zero()
-    deg = g.max_exp
-    acc = [ZERO] * (deg + 1)
-    c0 = g.coeff(0)
-    if c0:
-        acc[0] = c0
-    for m, em in enumerate(_e_table(deg)[1:], 1):
-        cm = g.coeff(m)
-        if cm:
-            for k, r in enumerate(em):
-                if r:
-                    acc[k] = acc[k] + cm.scale(r)
-    while acc and acc[-1].is_zero:
-        acc.pop()
-    return XPoly._raw(tuple(acc))
+    t = g._t
+    es = _e_table(max(t, default=0))
+    es[0] = [1]  # z^0 appears once, not as z^0 + z^-0
+    terms = ((k, t[m].scale(r)) for m, e in enumerate(es) if m in t for k, r in enumerate(e) if r)
+    return XPoly._dense(_collect(terms))

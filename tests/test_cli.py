@@ -70,6 +70,15 @@ def test_eval_bad_q(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
+def test_eval_non_finite_x_is_refused(capsys, x):
+    # a NaN used to print "nan" with exit 0, although --q is checked
+    code, out, err = run(capsys, "eval", "--n", "2", "--q", "0.5", "--x=" + x)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --x must be finite\n"
+
+
 @pytest.mark.parametrize(
     "argv", [["show", "--n", "-1"], ["eval", "--n", "-1", "--q", "0.5", "--x", "1.5"]]
 )

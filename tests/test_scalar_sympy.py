@@ -1,6 +1,6 @@
-"""Scalar against sympy: an independent oracle for the Laurent ring.
+"""Scalar and XPoly against sympy: an independent oracle for the Laurent ring.
 
-Every value is built twice, once as a Scalar and once as a sympy
+Every value is built twice, once as a Scalar or XPoly and once as a sympy
 expression from the same terms.  Results are read back from the stored
 terms and compared with `sympy.cancel`, so neither side of a check goes
 through Scalar's own equality.
@@ -13,8 +13,9 @@ hyp = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 from qaw.scalar import ExactDivisionError, Scalar  # noqa: E402
+from qaw.zsym import XPoly  # noqa: E402
 
-t, u = sympy.symbols("t u")
+t, u, x = sympy.symbols("t u x")
 
 SETTINGS = hyp.settings(
     max_examples=40,
@@ -37,6 +38,14 @@ def from_terms(terms):
 def laurent(draw, nonzero=False):
     terms = draw(TERMS.filter(bool) if nonzero else TERMS)
     return from_terms(terms)
+
+
+@st.composite
+def xpoly(draw):
+    """An XPoly whose coefficients are drawn like scalars, zeros included."""
+    cs = [from_terms(terms) for terms in draw(st.lists(TERMS, max_size=3))]
+    expr = sum(sc * x**k for k, (_, sc) in enumerate(cs))
+    return XPoly(c for c, _ in cs), sympy.sympify(expr)
 
 
 @st.composite
@@ -69,6 +78,12 @@ def to_sympy(s):
     return stored(s.numerator_terms()) / stored(s.denominator_terms())
 
 
+def x_to_sympy(f):
+    """The stored coefficients of f, read back; the top one is nonzero."""
+    assert not f or not f.leading.is_zero
+    return sympy.sympify(sum(to_sympy(c) * x**k for k, c in enumerate(f.coeffs())))
+
+
 def same(expr, want):
     return sympy.cancel(expr - want) == 0
 
@@ -86,6 +101,16 @@ def test_field_operations(f, g):
     assert same(to_sympy(a * b), sa * sb)
     assert same(to_sympy(-a), -sa)
     assert b.is_zero == same(sb, 0)
+
+
+@SETTINGS
+@hyp.given(xpoly(), xpoly(), st.integers(0, 3))
+def test_xpoly_operations(f, g, e):
+    (a, sa), (b, sb) = f, g
+    assert same(x_to_sympy(a + b), sa + sb)
+    assert same(x_to_sympy(a - b), sa - sb)
+    assert same(x_to_sympy(a * b), sa * sb)
+    assert same(x_to_sympy(a ** e), sa**e)
 
 
 @SETTINGS

@@ -103,6 +103,15 @@ def test_parse_error_positions(text, pos):
     assert ("position %d:" % pos) in str(info.value)
 
 
+@pytest.mark.parametrize("text", ["x^\u00b2", "x^\u0663"])
+def test_non_ascii_digits_are_refused(text):
+    # str.isdigit accepts both: "x^\u00b2" (superscript two) failed in int()
+    # without a position, and "x^\u0663" (Arabic-Indic three) parsed as x^3
+    with pytest.raises(ParseError) as info:
+        parse_xpoly(text)
+    assert str(info.value).startswith("position 2: unexpected character")
+
+
 @pytest.mark.parametrize(
     "text,pos",
     [

@@ -179,6 +179,23 @@ def test_divide_exact_rejects_inexact():
         num.divide_exact(ZLaurent())
 
 
+def test_divide_exact_refuses_coefficients_outside_the_ring():
+    # the z-side quotient t/(t + 1) is not a Laurent polynomial in t,
+    # although the division in z alone leaves no remainder
+    zz = ZLaurent({1: ONE, -1: ONE})
+    with pytest.raises(ExactDivisionError):
+        zz.scale(T).divide_exact(zz.scale(T + 1))
+    assert zz.scale(T * (T + 1)).divide_exact(zz.scale(T + 1)) == ZLaurent({0: T})
+
+
+def test_divide_exact_round_trips_negative_exponents():
+    # every z-exponent is negative, so every key is below the t^0 u^0 one
+    a = ZLaurent({-1: T, -3: ONE - tpow(-2)})
+    b = ZLaurent({-2: T + 1, -5: HALF})
+    assert (a * b).divide_exact(b) == a
+    assert (a * b).divide_exact(a) == b
+
+
 def test_xpoly_parse():
     assert XPoly.parse("x^2 - t*x + 1") == X ** 2 - X.scale(T) + 1
     assert XPoly.parse("(1/2)*x") == X.scale(HALF)
