@@ -326,8 +326,7 @@ def _var_poly(pairs, var: str, st: _Style) -> str:
 
 
 def _xpairs(f: XPoly) -> list[tuple[int, Scalar]]:
-    cs = f.coeffs()
-    return [(k, cs[k]) for k in range(len(cs) - 1, -1, -1) if cs[k]]
+    return [(k, f._t[k]) for k in sorted(f._t, reverse=True)]
 
 
 def render_scalar(s: Scalar) -> str:
