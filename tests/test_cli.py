@@ -6,6 +6,7 @@ import os
 import platform
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -64,6 +65,31 @@ def test_show_and_eval_match_the_recurrence(capsys):
             assert abs(float(out) - want) <= 1e-12 * abs(want)
 
 
+def _exact_recurrence(n, s, x):
+    """p_n(x) in Q at t = s, from the closed forms of B_k and C_k."""
+    prev, cur = Fraction(0), Fraction(1)
+    for k in range(n):
+        u = s ** (2 * k)
+        b = ((1 + s**-2) * u + 1 - s**-2) * u * s / 2
+        c = (1 + u * s**-2) * (1 - u) * (1 - u * u * s**-2) / 4
+        prev, cur = cur, (x - b) * cur - c * prev
+    return cur
+
+
+@pytest.mark.parametrize("s", [Fraction(1, 2), Fraction(2, 3)])
+def test_eval_matches_the_exact_recurrence(capsys, s):
+    # Horner's rule on the monomial x-form was off by about 1e-7
+    # relative at n = 40 here
+    for x0 in (1.1, 2.5, -0.4):
+        for n in (5, 25, 40):
+            code, out, _ = run(
+                capsys, "eval", "--n", str(n), "--q", repr(float(s**4)), "--x", repr(x0)
+            )
+            assert code == 0
+            want = _exact_recurrence(n, s, Fraction(x0))
+            assert abs(Fraction(float(out)) - want) <= Fraction(1, 10**12) * abs(want)
+
+
 def test_eval_bad_q(capsys):
     code, _, err = run(capsys, "eval", "--n", "1", "--q", "1.5", "--x", "2.0")
     assert code == 2
@@ -77,6 +103,14 @@ def test_eval_non_finite_x_is_refused(capsys, x):
     assert code == 2
     assert out == ""
     assert err == "error: --x must be finite\n"
+
+
+def test_eval_non_finite_result_is_refused(capsys):
+    # p_3(1e200) overflows a float; it used to print "inf" with exit 0
+    code, out, err = run(capsys, "eval", "--n", "3", "--q", "0.25", "--x", "1e200")
+    assert code == 2
+    assert out == ""
+    assert err == "error: p_3(1e+200) is not finite in floating point\n"
 
 
 @pytest.mark.parametrize(

@@ -52,6 +52,31 @@ def test_constant_xpoly_hashes_as_its_scalar():
     assert hash(XPoly([HALF])) == hash(HALF)
 
 
+def test_xpoly_dense_view():
+    # coeffs() runs from degree 0 to the top, interior zeros included,
+    # and a trailing zero is no coefficient at all
+    assert XPoly([1, 0, 3]).coeffs() == (ONE, ZERO, rational(3))
+    assert XPoly([0, 0]).coeffs() == ()
+    assert XPoly([0, T, 0]).coeffs() == (ZERO, T)
+
+
+def test_equal_xpolys_hash_equal():
+    # the same polynomial reached by different routes, whatever order
+    # its terms were produced in
+    assert hash((X + 1) * (X - 1)) == hash(X**2 - 1)
+    rng = random.Random(15)
+    for deg in range(1, 9):
+        f = rand_xpoly(rng, deg) + X**deg
+        g = z_to_x(x_to_z(f))
+        assert g == f and hash(g) == hash(f)
+        assert len({f, g, f + 0}) == 1
+
+
+def test_zlaurent_is_unhashable():
+    with pytest.raises(TypeError):
+        hash(ZLaurent({1: ONE, -1: ONE}))
+
+
 def test_xpoly_arith():
     f = XPoly([1, 2])
     g = XPoly([0, 0, 1])
