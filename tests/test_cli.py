@@ -79,7 +79,7 @@ def _exact_recurrence(n, s, x):
 @pytest.mark.parametrize("s", [Fraction(1, 2), Fraction(2, 3)])
 def test_eval_matches_the_exact_recurrence(capsys, s):
     # Horner's rule on the monomial x-form was off by about 1e-7
-    # relative at n = 40 here
+    # relative at n = 40 on this grid
     for x0 in (1.1, 2.5, -0.4):
         for n in (5, 25, 40):
             code, out, _ = run(
