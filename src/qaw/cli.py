@@ -25,11 +25,10 @@ from .families import (
     dual_qhahn_family,
 )
 from .inductor import certify_proof
-from .numeric import NumericConfig, numeric_crosscheck
+from .numeric import NumericConfig, _recurrence, numeric_crosscheck
 from .scalar import ZERO, Rat, tpow
 from .structure import (
     _poly_xrows,
-    _xrow_poly,
     bandwidth_scan,
     expand_in_basis,
     iter_proposition_reports,
@@ -139,7 +138,7 @@ def _cmd_expand(args) -> int:
 def _cmd_show(args) -> int:
     if args.n < 0:
         raise ValueError("--n must be nonnegative")
-    p = _xrow_poly(_poly_xrows(args.n, counterexample_family()))
+    p = _poly_xrows(args.n, counterexample_family())
     print(p.to_latex() if args.latex else p.render())
     return 0
 
@@ -153,11 +152,7 @@ def _cmd_eval(args) -> int:
         raise ValueError("--x must be finite")
     # the recurrence itself, in floats: Horner's rule on the monomial
     # x-form cancels, about 1e-7 relative at n = 40
-    fam = counterexample_family()
-    prev, cur = 0.0, 1.0
-    for k in range(args.n):
-        a, b = fam.rec_a(k).evaluate(args.q), fam.rec_b(k).evaluate(args.q)
-        prev, cur = cur, (args.x - a) * cur - b * prev
+    cur = _recurrence(counterexample_family(), args.q, args.n)(args.x)[-1]
     if not math.isfinite(cur):
         raise ValueError("p_%d(%r) is not finite in floating point" % (args.n, args.x))
     print(cur)

@@ -3,33 +3,30 @@
 For real x with |x| > 1 the lattice variable z = x + sqrt(x^2 - 1) is
 real, so D_q and S_q can be evaluated directly from their defining
 difference quotients at the shifted points x(s +- 1/2) without any
-algebra.  That float pipeline is compared against Horner evaluation of
-the exact operator output, and both against the closed-form right-hand
-sides.
+algebra.  That float pipeline is compared against the exact operator
+output evaluated at the same real z, and both against the closed-form
+right-hand sides.
 
-The exact side is the one that the sweep of `structure` expands: the
-integer kernel's packed rows of Q_k = 2^k p_k, of S_q and of U_2 D_q,
-turned to x there and to floats straight from their integer digits.
-Each row is unpacked once, on its first use, and turned to floats at
-every q sample of the grid from a table of that q's powers; only the
-floats are kept.  So the witness checks the same operator rows that
-the sweep compares against the closed forms, while the float lattice
-and the closed forms stay independent of both.
+Every value is taken where its evaluation is stable.  The family
+members come from the three-term recurrence in floats, with a_k and
+b_k evaluated once per q sample (W. Gautschi, Orthogonal Polynomials:
+Computation and Approximation, 2004), where Horner's rule on their
+monomial x-forms cancels.  The exact side is the one that the sweep of
+`structure` expands: the integer kernel's z-rows of S_q p_n and of
+U_2 D_q p_n, each digit turned to a float at q's power table and
+summed on z^m + z^-m.  So the witness checks the same operator rows
+that the sweep compares against the closed forms, while the float
+lattice and the closed forms stay independent of both.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .awcore import u2
-from .families import counterexample_family
-from .structure import (
-    XRows,
-    _expected,
-    _operator_xrows,
-    _xrow_floats,
-)
+from .families import OPSFamily, counterexample_family
+from .structure import _expected, _operator_zrows
 from .zsym import XPoly
 
 
@@ -68,17 +65,28 @@ class NumericConfig(_NumericFields):
         return "q in %s, x in %s" % (list(self.q_samples), list(self.x_samples))
 
 
-def eval_poly(f: XPoly | list[float], q0: float, x0: float) -> float:
-    """Horner evaluation with every coefficient instantiated at q0.
-
-    f is an XPoly with u-free coefficients, or the list of its
-    coefficients already evaluated at q0, lowest degree first.
-    """
-    cs = f if isinstance(f, list) else [c.evaluate(q0) for c in f.coeffs()]
+def eval_poly(f: XPoly, q0: float, x0: float) -> float:
+    """Horner evaluation with every coefficient of f, u-free, instantiated at q0."""
     acc = 0.0
-    for c in reversed(cs):
-        acc = acc * x0 + c
+    for c in reversed(f.coeffs()):
+        acc = acc * x0 + c.evaluate(q0)
     return acc
+
+
+def _recurrence(
+    fam: OPSFamily, q0: float, count: int
+) -> Callable[[float], list[float]]:
+    """x -> [p_0(x), .., p_count(x)] in floats, with a_k and b_k evaluated
+    at q0 once, by p_{k+1} = (x - a_k) p_k - b_k p_{k-1}."""
+    ab = [(fam.rec_a(k).evaluate(q0), fam.rec_b(k).evaluate(q0)) for k in range(count)]
+
+    def members(x0: float) -> list[float]:
+        ps = [0.0, 1.0]
+        for a, b in ab:
+            ps.append((x0 - a) * ps[-1] - b * ps[-2])
+        return ps[1:]
+
+    return members
 
 
 def _lattice_pair(q0: float, x0: float) -> tuple[float, float]:
@@ -89,20 +97,46 @@ def _lattice_pair(q0: float, x0: float) -> tuple[float, float]:
     return 0.5 * (zp + 1.0 / zp), 0.5 * (zm + 1.0 / zm)
 
 
-def lattice_dq(f: XPoly | list[float], q0: float, x0: float) -> float:
-    """D_q f at x0 straight from the difference quotient."""
+def lattice_dq(f: Callable[[float], float], q0: float, x0: float) -> float:
+    """D_q f at x0 straight from the difference quotient; f is a float function of x."""
     if abs(x0) <= 1.0:
         raise ValueError("lattice evaluation needs |x| > 1")
     xp, xm = _lattice_pair(q0, x0)
-    return (eval_poly(f, q0, xp) - eval_poly(f, q0, xm)) / (xp - xm)
+    return (f(xp) - f(xm)) / (xp - xm)
 
 
-def lattice_sq(f: XPoly | list[float], q0: float, x0: float) -> float:
+def lattice_sq(f: Callable[[float], float], q0: float, x0: float) -> float:
     """S_q f at x0 as the plain average of the shifted values."""
     if abs(x0) <= 1.0:
         raise ValueError("lattice evaluation needs |x| > 1")
     xp, xm = _lattice_pair(q0, x0)
-    return 0.5 * (eval_poly(f, q0, xp) + eval_poly(f, q0, xm))
+    return 0.5 * (f(xp) + f(xm))
+
+
+def _dot(pairs) -> float:
+    """The sum of a * b over the pairs, added left to right from 0.0.
+
+    `sum` is avoided: from Python 3.12 on it compensates float sums,
+    which would make the floats depend on the interpreter's version.
+    """
+    s = 0.0
+    for a, b in pairs:
+        s += a * b
+    return s
+
+
+def _zrow_floats(
+    rows: dict[int, dict[int, int]], shift: int, pw: dict[int, float]
+) -> dict[int, float]:
+    """{m: row_m / 2^shift} in floats, with pw[e] = q0^(e/4) = t^e.
+
+    A digit c of t^e adds c / 2^shift, the correctly rounded quotient,
+    times pw[e]; a row's terms are added in ascending exponent order.
+    """
+    den = 1 << shift
+    return {
+        m: _dot((row[e] / den, pw[e]) for e in sorted(row)) for m, row in rows.items()
+    }
 
 
 def _rel_dev(a: float, b: float, abs_tol: float) -> float:
@@ -138,17 +172,21 @@ def numeric_crosscheck(cfg: NumericConfig, nmax: int) -> NumericSummary:
     """Both relations of the counterexample family for n <= nmax on the grid.
 
     At every grid point three values of each side are compared: the
-    float lattice operator, the Horner value of the exact operator
-    output, and the closed-form right-hand side.  A grid point where the
-    float pipeline breaks down (a deviation that is not finite, or an
-    evaluation that divides by zero or overflows) fails the check and is
-    named in `worst`.  The closed forms are the counterexample's, so
-    the check takes no other family.
+    float lattice operator on the recurrence's p_n, the exact operator
+    output summed on z^m + z^-m, and the closed-form right-hand side on
+    the recurrence's p_k.  A grid point where the float pipeline breaks
+    down (a deviation that is not finite, or an evaluation that divides
+    by zero or overflows) fails the check and is named in `worst`.  The
+    closed forms are the counterexample's, so the check takes no other
+    family.
     """
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
-    polys, sq_exact, dq_exact = _operator_xrows(nmax, counterexample_family())
-    weight = u2()
+    fam = counterexample_family()
+    zrows = _operator_zrows(nmax, fam)
+    exps = {e for pair in zrows for rows in pair for row in rows.values() for e in row}
+    checks = ("sq-relation", "dq-relation")
+    closed = [[_expected(c, n) for c in checks] for n in range(nmax + 1)]
     worst = 0.0
     worst_at = ""
     broken = ""
@@ -161,62 +199,39 @@ def numeric_crosscheck(cfg: NumericConfig, nmax: int) -> NumericSummary:
         elif d > worst:
             worst, worst_at = d, label
 
-    # every exact coefficient is evaluated once per q0: those of p_k under
-    # the key k, of a weight under (side,), of the n-th operator sides
-    # under (side, part, n); Horner then runs on the floats.  A kernel row
-    # is unpacked once, on first use, and evaluated at every q sample; if
-    # that breaks down, at this q0 alone, so a breakdown is reported at
-    # the q0 where it happens.  Only the floats are kept.
-    memo: dict[tuple, list[float]] = {}
-
-    def kernel(key, rows: XRows, q0: float) -> list[float]:
-        if (key, q0) not in memo:
-            qs = cfg.q_samples
-            try:
-                fs = _xrow_floats(rows, qs)
-            except (ZeroDivisionError, OverflowError):
-                qs = (q0,)
-                fs = _xrow_floats(rows, qs)
-            memo.update(((key, q), cs) for q, cs in zip(qs, fs))
-        return memo[key, q0]
-
-    def scalars(key, coeffs, q0: float) -> list[float]:
-        cs = memo.get((key, q0))
-        if cs is None:
-            cs = memo[key, q0] = [c.evaluate(q0) for c in coeffs]
-        return cs
-
-    for n in range(nmax + 1):
-        # (name, float operator, its weight, exact left side, closed-form right side)
-        sides = (
-            ("sq", lattice_sq, XPoly.one(), sq_exact[n], _expected("sq-relation", n)),
-            ("dq", lattice_dq, weight, dq_exact[n], _expected("dq-relation", n)),
-        )
-        for q0 in cfg.q_samples:
+    for q0 in cfg.q_samples:
+        at = "q=%g" % q0
+        try:
+            # what depends on q0 alone is evaluated once
+            members = _recurrence(fam, q0, nmax + 1)
+            pw = {e: q0 ** (0.25 * e) for e in exps}
+            exact = [
+                [_zrow_floats(rows, n + s, pw) for rows, s in zip(pair, (1, 3))]
+                for n, pair in enumerate(zrows)
+            ]
+            rhs_f = [
+                [{k: c.evaluate(q0) for k, c in ex.items()} for ex in pair]
+                for pair in closed
+            ]
             for x0 in cfg.x_samples:
-                try:
-                    fp = {
-                        k: kernel(n + k, polys[n + k], q0) if n + k >= 0 else []
-                        for k in (-2, -1, 0, 1)
-                    }
-                    vals = {k: eval_poly(cs, q0, x0) for k, cs in fp.items()}
-                    for side, lattice, wt, exact, expected in sides:
-                        wf = scalars((side,), wt.coeffs(), q0)
-                        ef = kernel((side, "exact", n), exact, q0)
-                        rf = scalars((side, "closed", n), expected.values(), q0)
-                        lhs_f = eval_poly(wf, q0, x0) * lattice(fp[0], q0, x0)
-                        lhs_e = eval_poly(ef, q0, x0)
-                        # left to right, not `sum`, as `_xrow_floats` adds
-                        rhs = 0.0
-                        for k, c in zip(expected, rf):
-                            rhs += c * vals[k]
-                        at = "%s n=%d q=%g x=%g" % (side, n, q0, x0)
-                        track(lhs_f, lhs_e, at + " lattice-vs-exact")
-                        track(lhs_e, rhs, at + " exact-vs-closed")
-                        track(lhs_f, rhs, at + " lattice-vs-closed")
-                except (ZeroDivisionError, OverflowError) as exc:
-                    at = "n=%d q=%g x=%g" % (n, q0, x0)
-                    broken = broken or "%s float %s" % (at, type(exc).__name__)
+                at = "q=%g x=%g" % (q0, x0)
+                z0 = x0 + math.sqrt(x0 * x0 - 1.0)
+                zs = [1.0] + [z0**m + z0**-m for m in range(1, nmax + 2)]
+                vals = members(x0)
+                # (name, float operator, its weight) of each relation
+                weight = eval_poly(u2(), q0, x0)
+                sides = (("sq", lattice_sq, 1.0), ("dq", lattice_dq, weight))
+                for n in range(nmax + 1):
+                    for (side, lattice, wt), ex, cf in zip(sides, exact[n], rhs_f[n]):
+                        lhs_f = wt * lattice(lambda x: members(x)[n], q0, x0)
+                        lhs_e = _dot((r, zs[m]) for m, r in ex.items())
+                        rhs = _dot((c, vals[n + k]) for k, c in cf.items())
+                        label = "%s n=%d %s" % (side, n, at)
+                        track(lhs_f, lhs_e, label + " lattice-vs-exact")
+                        track(lhs_e, rhs, label + " exact-vs-closed")
+                        track(lhs_f, rhs, label + " lattice-vs-closed")
+        except (ZeroDivisionError, OverflowError) as exc:
+            broken = broken or "%s float %s" % (at, type(exc).__name__)
 
     status = "pass" if worst < cfg.rel_tol and not broken else "fail"
     return NumericSummary(nmax, cfg.grid(), worst, status, broken or worst_at)

@@ -61,8 +61,8 @@ width w common to the whole sweep and B >= max |coeff f|:
   exactly when P is.  Sums, shifts and products therefore act on P
   directly, with no carries to propagate.
 * Bounds.  Every row is built by `_lincomb` as a sum of small known
-  polynomials e (2 a_m, 4 b_m, t^(2j) +- t^(-2j), the eliminated E_k,
-  and t^2 - t^-2 on the x-forms' D_q rows) times rows, term by term
+  polynomials e (2 a_m, 4 b_m, t^(2j) +- t^(-2j) and the eliminated
+  E_k) times rows, term by term
   as P += (c P_row) << (slots * w), and gets the bound
   B = sum ||e||_1 B_row.  Nearly every c is +-2^j, and such a term is
   the same integer as P +-= P_row << (slots * w + j), one shift and
@@ -84,18 +84,15 @@ width w common to the whole sweep and B >= max |coeff f|:
   common parity per row in the same way, so half the slots would be
   zeros at g = 1.  The congruence of the offsets is checked on every
   sum rather than assumed, and a violation raises ArithmeticError.
-* x-forms.  `_operator_xrows` gives the float witness of `numeric`
-  its exact values: the rows of Q_k, of S_q and of U_2 D_q (the rows
-  of `_dq_rows` times t^2 - t^-2, one `_lincomb` each), turned to
-  x by z^m + z^-m = E_m(x), E_{m+1} = 2x E_m - E_{m-1}.  Each
-  x-coefficient row is a `_lincomb` of z-rows with the integers of
-  E_m, so it widens the same way, in `_fitted_xforms`, and
-  `_poly_xrows` builds p_n's x-form alone for `qaw show`/`eval`.
-  `_unpack` splits a row's biased digits with one memoryview cast at
-  w = 8, 16, 32 and 64, and slot by slot at wider w.  `_xrow_floats`
-  unpacks each row once and turns it into a float at every q0 asked
-  for, each digit c of t^e as the correctly rounded c / 2^shift times
-  q0^(e/4) from a table of q0's powers, summed in slot order.
+* z-rows and x-forms.  `_operator_zrows` gives the float witness of
+  `numeric` its exact values: the rows of S_q and of U_2 D_q (the rows
+  of `_dq_rows` times t^2 - t^-2), unpacked to integers, which the
+  witness sums on z^m + z^-m at a real z.  `_poly_xrows` turns Q_n to
+  x for `qaw show`, by z^m + z^-m = E_m(x), E_{m+1} = 2x E_m - E_{m-1}.
+  Each x-coefficient row is a `_lincomb` of z-rows with the integers of
+  E_m, so it widens the same way.  `_unpack` splits a row's biased
+  digits with one memoryview cast at w = 8, 16, 32 and 64, and slot by
+  slot at wider w.
 
 `expand_in_basis` expands any x-polynomial over Q[t^+-1, u^+-1] instead, on
 the family's cached z-forms Z_k.  Z_k has top coefficient 2^-k, so each
@@ -232,10 +229,6 @@ _SLOT_BITS = 64
 # B >= max |coeff f|; it is zero exactly when P == 0.
 Row = tuple[int, int, int]
 _ZERO_ROW: Row = (0, 0, 0)
-
-# x-forms (rows, shift, w, g) stand for sum_k (rows[k] / 2^shift) x^k,
-# with every row packed at slot width w and stride g
-XRows = tuple[list[Row], int, int, int]
 
 
 class _Widen(Exception):
@@ -417,7 +410,7 @@ def _dq_rows(q: list[Row], w: int, g: int) -> dict[int, Row]:
     That is 2^(n+3) U_2 D_q P_n divided by t^2 - t^-2, whose z^m row is
     d_{m-1} - d_{m+1} with d_j = (t^(2j) - t^(-2j)) Q_n[|j|].  Callers
     put the factor back: `_int_expansions` on the nonzero E_k,
-    `_operator_xrows` on these rows.
+    `_operator_zrows` on these rows, once unpacked.
     """
     rows = {}
     for m in range(len(q) + 1):
@@ -504,84 +497,48 @@ def _x_rows(z: dict[int, Row], es: list[list[int]], w: int, g: int) -> list[Row]
     return [_lincomb(ts, w, g) for ts in terms]
 
 
-def _fitted_xforms(count: int, fam: OPSFamily, build: Callable):
-    """build(qs, x, w, g) at one slot width that doubles until no bound reaches it.
+def _poly_xrows(n: int, fam: OPSFamily) -> XPoly:
+    """p_n alone, Q_n / 2^n, read from its x-coefficient rows, for `qaw show`.
 
-    qs holds the z-rows of Q_0 .. Q_(count-1), and x(z, shift) is the
-    x-form of the z-rows z over 2^shift, by `_x_rows` at the same width.
-    ValueError unless the family's 2 a_n and 4 b_n are integral, u-free
-    Laurent polynomials in t.
+    The rows are `_x_rows` of Q_n's z-rows, at one slot width that
+    doubles until no bound reaches it.  ValueError unless the family's
+    2 a_n and 4 b_n are integral, u-free Laurent polynomials in t.
     """
-    kernel = _Kernel(fam, count - 2)
-    kernel.extend(count)
-    es = _e_table(count - 1)
+    kernel = _Kernel(fam, n - 1)
+    kernel.extend(n + 1)
+    es = _e_table(n)
+    rows, w, g = kernel.fit(
+        lambda qs, w, g: (_x_rows(dict(enumerate(qs[n])), es, w, g), w, g)
+    )
+    return XPoly(_int_scalar(_unpack(r, w, g), n) for r in rows)
+
+
+def _operator_zrows(
+    nmax: int, fam: OPSFamily
+) -> list[tuple[dict[int, dict[int, int]], dict[int, dict[int, int]]]]:
+    """The z-rows of S_q p_n and of U_2 D_q p_n for n <= nmax, unpacked.
+
+    Entry n is ({m: {t-exp: int}}, {m: {t-exp: int}}), the m >= 0 rows of
+    2^(n+1) S_q p_n (`_sq_rows`) and of 2^(n+3) U_2 D_q p_n (`_dq_rows`
+    times t^2 - t^-2), so the left side is sum_m row_m (z^m + z^-m) with
+    z^0 counted once.  ValueError unless the family's 2 a_n and 4 b_n are
+    integral, u-free Laurent polynomials in t.
+    """
+    kernel = _Kernel(fam, nmax)
+    kernel.extend(nmax + 1)
 
     def step(qs, w, g):
-        return build(qs, lambda z, shift: (_x_rows(z, es, w, g), shift, w, g), w, g)
+        sq = [_sq_rows(q, w, g) for q in qs]
+        dq = [_dq_rows(q, w, g) for q in qs]
+        return [
+            (
+                {m: _unpack(r, w, g) for m, r in s.items()},
+                {m: _pmul(_T2_DIFF, _unpack(r, w, g)) for m, r in d.items()},
+            )
+            for s, d in zip(sq, dq)
+        ]
 
     return kernel.fit(step)
-
-
-def _poly_xrows(n: int, fam: OPSFamily) -> XRows:
-    """The x-form of p_n alone, Q_n / 2^n; see `_fitted_xforms`."""
-    return _fitted_xforms(n + 1, fam, lambda qs, x, w, g: x(dict(enumerate(qs[n])), n))
-
-
-def _operator_xrows(
-    nmax: int, fam: OPSFamily
-) -> tuple[list[XRows], list[XRows], list[XRows]]:
-    """x-forms of p_0 .. p_(nmax+1), and of S_q p_n and U_2 D_q p_n, n <= nmax.
-
-    All are read from the integer route's rows by `_fitted_xforms`:
-    Q_k / 2^k, `_sq_rows` of Q_n / 2^(n+1) and t^2 - t^-2 times
-    `_dq_rows` of Q_n / 2^(n+3), at one slot width.
-    """
-
-    def dq(q, w, g):
-        rows = _dq_rows(q, w, g)
-        return {m: _lincomb([(_T2_DIFF, r)], w, g) for m, r in rows.items()}
-
-    def build(qs, x, w, g):
-        return (
-            [x(dict(enumerate(q)), k) for k, q in enumerate(qs)],
-            [x(_sq_rows(qs[n], w, g), n + 1) for n in range(nmax + 1)],
-            [x(dq(qs[n], w, g), n + 3) for n in range(nmax + 1)],
-        )
-
-    return _fitted_xforms(nmax + 2, fam, build)
-
-
-def _xrow_floats(f: XRows, q0s: tuple[float, ...]) -> list[list[float]]:
-    """The x-coefficients of f at each q0, with t = q0^(1/4), from the digits.
-
-    Each row is unpacked once.  A digit c of t^e adds c / 2^shift, the
-    correctly rounded quotient that float(Fraction(c, 2^shift)) also
-    gives, times q0^(e/4) from a table of q0's powers; a row's terms are
-    added left to right in slot order, from 0.0.  `sum` is avoided: from
-    Python 3.12 on it compensates float sums, which would make the floats
-    depend on the interpreter's version.
-    """
-    rows, shift, w, g = f
-    den = 1 << shift
-    digits = [_unpack(r, w, g) for r in rows]
-    exps = set().union(*digits)
-    out = []
-    for q0 in q0s:
-        pw = {e: q0 ** (0.25 * e) for e in exps}
-        row = []
-        for d in digits:
-            s = 0.0
-            for e, c in d.items():
-                s += c / den * pw[e]
-            row.append(s)
-        out.append(row)
-    return out
-
-
-def _xrow_poly(f: XRows) -> XPoly:
-    """The exact x-form of f, each row's digits over 2^shift."""
-    rows, shift, w, g = f
-    return XPoly(_int_scalar(_unpack(r, w, g), shift) for r in rows)
 
 
 def iter_proposition_reports(
