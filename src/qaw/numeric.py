@@ -7,16 +7,17 @@ algebra.  That float pipeline is compared against the exact operator
 output evaluated at the same real z, and both against the closed-form
 right-hand sides.
 
-Every value is taken where its evaluation is stable.  The family
-members come from the three-term recurrence in floats, with a_k and
-b_k evaluated once per q sample (W. Gautschi, Orthogonal Polynomials:
-Computation and Approximation, 2004), where Horner's rule on their
-monomial x-forms cancels.  The exact side is the one that the sweep of
-`structure` expands: the integer kernel's z-rows of S_q p_n and of
-U_2 D_q p_n, each digit turned to a float at q's power table and
-summed on z^m + z^-m.  So the witness checks the same operator rows
-that the sweep compares against the closed forms, while the float
-lattice and the closed forms stay independent of both.
+The family members come from the three-term recurrence in floats,
+with a_k and b_k evaluated once per q sample, which stays accurate
+where Horner's rule on their monomial x-forms cancels (W. Gautschi,
+Orthogonal Polynomials: Computation and Approximation, 2004).  The
+exact side is the one that the sweep of `structure` expands: the
+integer kernel's z-rows of S_q p_n and of U_2 D_q p_n, each digit
+turned to a float from a table of q's powers and summed on
+z^m + z^-m.  That sum still cancels where the value is tiny against
+its terms, as near q = 1 and x = 1.  So the witness checks the same
+operator rows that the sweep compares against the closed forms, while
+the float lattice and the closed forms stay independent of both.
 """
 
 from __future__ import annotations
