@@ -238,15 +238,19 @@ def aw_hyp_poly(
     """Monic Askey-Wilson polynomial from its terminating 4phi3 sum.
 
     The z-dependent upper parameters contribute the symmetric product
-    prod_{j<k} (1 - a base^j z)(1 - a base^j z^-1); everything else is
-    scalar.  No division happens inside the sum: term k carries its
-    numerator product times the suffix product of the later terms'
-    denominators, which only perturbs the overall scale, and the one
-    true division is the final monic normalisation.  That divides each
-    coefficient by the leading one, and by Gauss's lemma it is exact
-    wherever the monic p_n has Laurent coefficients: for d = 0 and
-    monomial a, b, c, the continuous dual q-Hahn case that every caller
-    builds.  Otherwise, as for most d != 0, it raises ExactDivisionError.
+    prod_{j<k} (1 - g_j z)(1 - g_j z^-1), g_j = a base^j.  At
+    x = (z + z^-1)/2 each factor is the linear (1 + g_j^2) - 2 g_j x, so
+    term k's product is an XPoly of degree k, one linear factor more per
+    term, and the sum never leaves x: it shares no z_to_x with the
+    recurrence side that it checks.  Everything else is scalar.  No
+    division happens inside the sum: term k carries its numerator
+    product times the suffix product of the later terms' denominators,
+    which only perturbs the overall scale, and the one true division is
+    the final monic normalisation.  That divides each coefficient by the
+    leading one, and by Gauss's lemma it is exact wherever the monic p_n
+    has Laurent coefficients: for d = 0 and monomial a, b, c, the
+    continuous dual q-Hahn case that every caller builds.  Otherwise, as
+    for most d != 0, it raises ExactDivisionError.
     base must be a nonzero monomial, or ValueError.
     """
     if n < 0:
@@ -274,20 +278,19 @@ def aw_hyp_poly(
     for j in range(n - 1, -1, -1):
         suffix[j] = dens[j] * suffix[j + 1]
 
-    total = ZLaurent()
-    zprod = ZLaurent({0: ONE})
+    f = XPoly.zero()
+    xprod = XPoly.one()
     numk = ONE
     qk = ONE
     for k in range(n + 1):
-        total = total + zprod.scale(numk * suffix[k])
+        f = f + xprod.scale(numk * suffix[k])
         if k == n:
             break
         numk = numk * (ONE - qmn * qk) * (ONE - big * qk) * q
         g = a * qk
-        zprod = zprod * ZLaurent({1: -g, -1: -g, 0: ONE + g * g})
+        xprod = xprod * XPoly([ONE + g * g, g.scale(-2)])
         qk = qk * q
 
-    f = z_to_x(total)
     if f.degree != n or f.leading.is_zero:
         raise ValueError("degenerate parameters: leading coefficient vanished")
     lead = f.leading

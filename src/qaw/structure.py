@@ -21,8 +21,9 @@ relation at n = 2 .. nmax.  It has one route, over
 Z[t^+-][z^+-], and so needs the family's 2 a_n and 4 b_n to be integral,
 u-free Laurent polynomials in t, as they are for the counterexample
 family and for every family that the CLI builds.  Every entry point
-raises ValueError for any other family.  The route uses the z-monic
-basis Q_n = 2^n P_n,
+raises ValueError for any other family, and for a family with b_m = 0
+at some 1 <= m <= nmax, whose recurrence defines no orthogonal family.
+The route uses the z-monic basis Q_n = 2^n P_n,
 
     Q_{n+1} = (z + z^-1 - 2 a_n) Q_n - 4 b_n Q_{n-1},
 
@@ -246,12 +247,21 @@ def _int_laurent(s: Scalar, scale: int) -> dict[int, int]:
 def _int_recurrence(fam: OPSFamily, nmax: int) -> list[tuple[dict, dict]]:
     """(2 a_m, 4 b_m) for m <= nmax as integer t-polynomials, by `_int_laurent`.
 
-    b_0 multiplies the zero polynomial Q_-1 and is never read.
+    b_0 multiplies the zero polynomial Q_-1 and is never read.  A zero
+    b_m, m >= 1, raises ValueError: such a recurrence defines no
+    orthogonal family (Favard's theorem; Chihara 1978).
     """
-    return [
+    rec = [
         (_int_laurent(fam.rec_a(m), 2), _int_laurent(fam.rec_b(m), 4) if m else {})
         for m in range(nmax + 1)
     ]
+    for m in range(1, nmax + 1):
+        if not rec[m][1]:
+            raise ValueError(
+                "degenerate family: b_%d vanishes, so the recurrence"
+                " defines no orthogonal family" % m
+            )
+    return rec
 
 
 def _stride(rec: list[tuple[dict, dict]]) -> int:
@@ -550,8 +560,9 @@ def iter_proposition_reports(
 
     Coefficients against the zero polynomials p_{-1}, p_{-2} are absent
     on both sides at small n, so nothing special happens there.
-    ValueError for a negative nmax and for a family whose 2 a_n and 4 b_n
-    are not integral, u-free Laurent polynomials in t.
+    ValueError for a negative nmax, for a family whose 2 a_n and 4 b_n
+    are not integral, u-free Laurent polynomials in t, and for one with
+    b_m = 0 at some 1 <= m <= nmax.
     """
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
@@ -593,7 +604,8 @@ def bandwidth_scan(
     `reports`, if given, must hold a D_q relation for every n in
     [2, nmax], or ValueError.  Without them the scan expands only
     U_2 D_q P_n, on integers, and reads the shape from the indices of
-    the nonzero coefficients.
+    the nonzero coefficients; a family with b_m = 0 at some
+    1 <= m <= nmax is refused with ValueError, not scanned.
     """
     if pi != u2():
         raise ValueError("the relation is implemented for pi = U_2 only")

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from qaw import families
+from qaw import families, zsym
 from qaw.awcore import ALPHA
 from qaw.cli import main
 from qaw.families import (
@@ -26,8 +26,8 @@ from qaw.families import (
     dual_qhahn_rec_coeffs,
 )
 from qaw.inductor import derive_step
-from qaw.scalar import HALF, ONE, T, U, ZERO, ExactDivisionError, rational, tpow, upow
-from qaw.zsym import XPoly
+from qaw.scalar import HALF, ONE, T, U, ZERO, ExactDivisionError, Scalar, rational, tpow, upow
+from qaw.zsym import XPoly, ZLaurent, x_to_z
 
 X = XPoly.x()
 GENERIC = FamilyParams(T, tpow(2), tpow(3), tpow(4))
@@ -150,6 +150,28 @@ def test_aw_hyp_poly_guards():
     # 1 - abcd q^k, and its final division says so
     with pytest.raises(ExactDivisionError):
         aw_hyp_poly(1, ONE, -ONE, T, T, tpow(2))
+
+
+def test_oracle_stays_off_the_recurrence_side(monkeypatch):
+    # the 4phi3 sum is built in x alone: neither z_to_x nor the family
+    # cache that the recurrence side of `verify oracle` reads
+    sets = (COUNTEREXAMPLE_PARAMS, GENERIC)
+    want = [[dual_qhahn_family(p).poly(n) for n in range(5)] for p in sets]
+
+    def refuse(*args):
+        raise AssertionError("the oracle reached the recurrence side")
+
+    for module in (zsym, families):
+        monkeypatch.setattr(module, "z_to_x", refuse)
+    for name in ("zpoly", "poly"):
+        monkeypatch.setattr(OPSFamily, name, refuse)
+    for p, polys in zip(sets, want):
+        for n, pn in enumerate(polys):
+            assert aw_hyp_poly(n, p.a, p.b, p.c, ZERO, p.base) == pn
+    # each z-factor (1 - g z)(1 - g z^-1) of the sum is (1 + g^2) - 2 g x
+    for g in (ONE, T, -tpow(3), T * U):
+        factor = XPoly([ONE + g * g, g.scale(-2)])
+        assert x_to_z(factor) == ZLaurent({1: -g, -1: -g, 0: ONE + g * g})
 
 
 def test_suite_values_at_zero_and_one():
@@ -337,3 +359,28 @@ def test_negating_the_parameters_reflects_the_recurrence(params):
     for n in range(9):
         assert neg.rec_a(n) == -fam.rec_a(n)
         assert neg.rec_b(n) == fam.rec_b(n)
+
+
+def t_inverse(s):
+    """s with t -> t^-1."""
+    return Scalar.from_terms({(-i, j): c for i, j, c in s.laurent_terms()})
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        GENERIC,
+        COUNTEREXAMPLE_PARAMS,
+        FamilyParams(ONE, T, -T, tpow(2)),
+        FamilyParams(T, rational(-1), tpow(2), -tpow(2)),
+    ],
+    ids=["generic", "counterexample", "1,t,-t|t^2", "t,-1,t^2|-t^2"],
+)
+def test_inverting_the_parameters_inverts_t_in_the_recurrence(params):
+    # (a, b, c | q) -> (1/a, 1/b, 1/c | 1/q) maps a_n and b_n by t -> t^-1:
+    # every parameter here is +-t^k, which inversion sends to +-t^-k
+    fam = dual_qhahn_family(params)
+    inv = dual_qhahn_family(FamilyParams(*(ONE / v for v in params)))
+    for n in range(9):
+        assert inv.rec_a(n) == t_inverse(fam.rec_a(n))
+        assert inv.rec_b(n) == t_inverse(fam.rec_b(n))

@@ -333,6 +333,26 @@ def test_scan_without_reports_matches_the_sweep():
         bandwidth_scan(bumped_family(rational(1, 3)), u2(), 6)
 
 
+# each has b_1 = (1 - ab)(1 - ac)(1 - bc)(1 - q)/4 = 0, so its recurrence
+# defines no orthogonal family (Favard), and the scan must not read it as
+# a bandwidth failure
+DEGENERATE = {
+    "1,1,t|t^2": (ONE, ONE, tpow(1)),
+    "-1,-1,-t|t^2": (rational(-1), rational(-1), -tpow(1)),
+    "-1,1,1|t^2": (rational(-1), ONE, ONE),
+}
+
+
+@pytest.mark.parametrize("label", list(DEGENERATE))
+def test_degenerate_family_is_refused(label):
+    fam = dual_qhahn_family(FamilyParams(*DEGENERATE[label], tpow(2)))
+    assert fam.rec_b(1) == ZERO
+    with pytest.raises(ValueError, match="b_1"):
+        bandwidth_scan(fam, u2(), 8)
+    with pytest.raises(ValueError, match="b_1"):
+        list(iter_proposition_reports(8, fam))
+
+
 def test_scan_and_relation_expand_only_u2_dq(monkeypatch):
     def refuse(*args):
         raise AssertionError("the scan reached the report path")
