@@ -85,15 +85,10 @@ width w common to the whole sweep and B >= max |coeff f|:
   common parity per row in the same way, so half the slots would be
   zeros at g = 1.  The congruence of the offsets is checked on every
   sum rather than assumed, and a violation raises ArithmeticError.
-* z-rows and x-forms.  `_operator_zrows` gives the float witness of
-  `numeric` its exact values: the rows of S_q and of U_2 D_q (the rows
-  of `_dq_rows` times t^2 - t^-2), unpacked to integers, which the
-  witness sums on z^m + z^-m at a real z.  `_poly_xrows` turns Q_n to
-  x for `qaw show`, by z^m + z^-m = E_m(x), E_{m+1} = 2x E_m - E_{m-1}.
-  Each x-coefficient row is a `_lincomb` of z-rows with the integers of
-  E_m, so it widens the same way.  `_unpack` splits a row's biased
-  digits with one memoryview cast at w = 8, 16, 32 and 64, and slot by
-  slot at wider w.
+* x-forms.  `_poly_xrows` turns Q_n to x for `qaw show`, by
+  z^m + z^-m = E_m(x), E_{m+1} = 2x E_m - E_{m-1}.  Each x-coefficient
+  row is a `_lincomb` of z-rows with the integers of E_m, so it widens
+  the same way.  `_unpack` splits a row's biased digits slot by slot.
 
 `expand_in_basis` expands any x-polynomial over Q[t^+-1, u^+-1] instead, on
 the family's cached z-forms Z_k.  Z_k has top coefficient 2^-k, so each
@@ -102,8 +97,6 @@ step of its leading-term elimination is one scaled subtraction.
 
 from __future__ import annotations
 
-import sys
-from struct import calcsize
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .awcore import u2
@@ -279,27 +272,10 @@ def _digits(p: int, w: int) -> bytes:
     return (p + int.from_bytes(bias, "little")).to_bytes(len(bias), "little")
 
 
-# memoryview formats that split `_digits` into plain w-bit slots, for the
-# slot widths that are native unsigned sizes on a little-endian machine
-_SLOT_FORMATS = {
-    w: f
-    for w, f in ((8, "B"), (16, "H"), (32, "I"), (64, "Q"))
-    if sys.byteorder == "little" and calcsize(f) * 8 == w
-}
-
-
 def _unpack(row: Row, w: int, g: int) -> dict[int, int]:
-    """{t-exp: int} of a row whose bound is below 2^(w - 1).
-
-    The biased digits are split by one memoryview cast where w is a
-    native slot width, and slot by slot otherwise (w = 128 and wider).
-    """
+    """{t-exp: int} of a row whose bound is below 2^(w - 1), slot by slot."""
     p, lo, _ = row
     data, wb, half = _digits(p, w), w // 8, 1 << (w - 1)
-    fmt = _SLOT_FORMATS.get(w)
-    if fmt:
-        slots = memoryview(data).cast(fmt)
-        return {lo + g * s: c - half for s, c in enumerate(slots) if c != half}
     out = {}
     for s in range(len(data) // wb):
         c = int.from_bytes(data[s * wb : (s + 1) * wb], "little") - half
@@ -418,9 +394,8 @@ def _dq_rows(q: list[Row], w: int, g: int) -> dict[int, Row]:
     """(z - z^-1)(Q_n(t^2 z) - Q_n(t^-2 z)) by its m >= 0 rows.
 
     That is 2^(n+3) U_2 D_q P_n divided by t^2 - t^-2, whose z^m row is
-    d_{m-1} - d_{m+1} with d_j = (t^(2j) - t^(-2j)) Q_n[|j|].  Callers
-    put the factor back: `_int_expansions` on the nonzero E_k,
-    `_operator_zrows` on these rows, once unpacked.
+    d_{m-1} - d_{m+1} with d_j = (t^(2j) - t^(-2j)) Q_n[|j|].
+    `_int_expansions` puts the factor back on the nonzero E_k.
     """
     rows = {}
     for m in range(len(q) + 1):
@@ -521,34 +496,6 @@ def _poly_xrows(n: int, fam: OPSFamily) -> XPoly:
         lambda qs, w, g: (_x_rows(dict(enumerate(qs[n])), es, w, g), w, g)
     )
     return XPoly(_int_scalar(_unpack(r, w, g), n) for r in rows)
-
-
-def _operator_zrows(
-    nmax: int, fam: OPSFamily
-) -> list[tuple[dict[int, dict[int, int]], dict[int, dict[int, int]]]]:
-    """The z-rows of S_q p_n and of U_2 D_q p_n for n <= nmax, unpacked.
-
-    Entry n is ({m: {t-exp: int}}, {m: {t-exp: int}}), the m >= 0 rows of
-    2^(n+1) S_q p_n (`_sq_rows`) and of 2^(n+3) U_2 D_q p_n (`_dq_rows`
-    times t^2 - t^-2), so the left side is sum_m row_m (z^m + z^-m) with
-    z^0 counted once.  ValueError unless the family's 2 a_n and 4 b_n are
-    integral, u-free Laurent polynomials in t.
-    """
-    kernel = _Kernel(fam, nmax)
-    kernel.extend(nmax + 1)
-
-    def step(qs, w, g):
-        sq = [_sq_rows(q, w, g) for q in qs]
-        dq = [_dq_rows(q, w, g) for q in qs]
-        return [
-            (
-                {m: _unpack(r, w, g) for m, r in s.items()},
-                {m: _pmul(_T2_DIFF, _unpack(r, w, g)) for m, r in d.items()},
-            )
-            for s, d in zip(sq, dq)
-        ]
-
-    return kernel.fit(step)
 
 
 def iter_proposition_reports(

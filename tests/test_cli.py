@@ -16,7 +16,7 @@ import qaw.inductor
 import qaw.numeric
 import qaw.structure
 from qaw.cli import main
-from qaw.scalar import Rat, tpow
+from qaw.scalar import T, Rat, tpow
 from test_structure import bumped_family
 
 
@@ -383,3 +383,31 @@ def test_shifted_float_lattice_fails_numeric(capsys, monkeypatch):
     assert "Traceback" not in err
     (rec,) = json_lines(out)
     assert rec["status"] == "fail" and rec["max_rel_dev"] > 1e-9
+
+
+def test_wrong_closed_form_fails_numeric_and_proposition(capsys, monkeypatch):
+    # t added to c_{5,4}, the D_q offset -2 at n = 5: the witness compares
+    # the closed forms with the lattice, the sweep with the kernel's rows
+    expected = qaw.structure._expected
+
+    def wrong(check, n):
+        ex = expected(check, n)
+        if (check, n) == ("dq-relation", 5):
+            ex = {**ex, -2: ex[-2] + T}
+        return ex
+
+    monkeypatch.setattr(qaw.numeric, "_expected", wrong)
+    code, out, err = run(capsys, "verify", "numeric", "--format", "json")
+    assert code == 1
+    assert "Traceback" not in err
+    (rec,) = json_lines(out)
+    assert rec["status"] == "fail" and rec["worst"].startswith("dq n=5 ")
+    monkeypatch.setattr(qaw.structure, "_expected", wrong)
+    argv = ("verify", "proposition", "--n-max", "6", "--format", "json")
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert "Traceback" not in err
+    recs = json_lines(out)
+    assert [(r["check"], r.get("n")) for r in recs if r["status"] == "fail"] == [
+        ("dq-relation", 5)
+    ]

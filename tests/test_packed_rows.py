@@ -8,8 +8,8 @@ packs them at a slot width just wide enough or wider, and checks add,
 sub, shift, small products and unpacking against `_padd`, `_psub` and
 `_pmul`, at both strides.  Where the tracked bound reaches 2^(w - 1) the
 operation must ask for a wider slot instead of returning a row.
-`_unpack` is checked against the balanced base-2^w digits of P, slot by
-slot, at every slot width it splits by a cast and at one it does not.
+`_unpack` is checked against the balanced base-2^w digits of P at slot
+widths 8 to 128.
 """
 
 import pytest
@@ -17,7 +17,6 @@ import pytest
 hyp = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from qaw import structure  # noqa: E402
 from qaw.scalar import _padd, _pmul, _psub  # noqa: E402
 from qaw.structure import _Widen, _lincomb, _unpack  # noqa: E402
 
@@ -166,15 +165,12 @@ def unpack_cases(w):
 
 @pytest.mark.parametrize("w", [8, 16, 32, 64, 128])
 @pytest.mark.parametrize("g", [1, 2])
-def test_unpack_is_the_slot_by_slot_definition(w, g, monkeypatch):
+def test_unpack_is_the_slot_by_slot_definition(w, g):
     rows = [packed(digits, -3, w) for digits in unpack_cases(w)]
     want = [balanced_digits(row[0], -3, w, g) for row in rows]
     assert want == [
         {-3 + g * s: c for s, c in enumerate(digits) if c}
         for digits in unpack_cases(w)
     ]
-    assert [_unpack(row, w, g) for row in rows] == want
-    # the same digits from the path that reads every slot on its own
-    monkeypatch.setattr(structure, "_SLOT_FORMATS", {})
     assert [_unpack(row, w, g) for row in rows] == want
 
