@@ -59,16 +59,8 @@ def _cmd_proposition(args) -> int:
 
 
 def _cmd_proof(args) -> int:
-    try:
-        ks = tuple(int(p) for p in args.k_samples.split(",") if p.strip())
-    except ValueError:
-        raise ValueError(
-            "--k-samples wants comma-separated integers, got %r" % args.k_samples
-        ) from None
-    if not ks:
-        raise ValueError("--k-samples wants at least one index")
     ok = True
-    certs, coherence = certify_proof(ks)
+    certs, coherence = certify_proof()
     for cert in certs:
         _emit(cert.record(), args.format)
         ok = ok and cert.verdict == "zero"
@@ -198,10 +190,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_proposition)
 
     p = vparser("proof", "symbolic step and base-case certificates")
-    p.add_argument(
-        "--k-samples", default="2,3,5,8", metavar="K1,K2,...",
-        help="indices for the instantiation coherence spot check",
-    )
     p.set_defaults(func=_cmd_proof)
 
     p = vparser("numeric", "float lattice cross-check")

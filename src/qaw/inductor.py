@@ -199,7 +199,11 @@ def certify_base_case() -> list[IdentityCertificate]:
     ]
 
 
-def instantiation_coherence(ks=(2, 3, 5, 8)) -> list[dict]:
+# the indices at which `qaw verify proof` spot-checks the instantiation
+_K_SAMPLES = (2, 3, 5, 8)
+
+
+def instantiation_coherence(ks=_K_SAMPLES) -> list[dict]:
     """Check substitution commutes with the certificate arithmetic.
 
     For each k: the symbolic residual instantiated at k must equal the
@@ -225,12 +229,13 @@ def _coherence(sym: list[tuple[str, Scalar]], ks) -> list[dict]:
     return out
 
 
-def certify_proof(ks=(2, 3, 5, 8)) -> tuple[list[IdentityCertificate], list[dict]]:
+def certify_proof() -> tuple[list[IdentityCertificate], list[dict]]:
     """Everything `qaw verify proof` checks, from one symbolic derivation.
 
     The certificates of `certify_sq_step`, `certify_dq_step` and
     `certify_base_case`, in that order, and the records of
-    `instantiation_coherence(ks)`.
+    `instantiation_coherence()`.
     """
     sym = _residuals()
-    return [_cert(*item) for item in sym] + certify_base_case(), _coherence(sym, ks)
+    certs = [_cert(*item) for item in sym] + certify_base_case()
+    return certs, _coherence(sym, _K_SAMPLES)

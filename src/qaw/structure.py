@@ -185,19 +185,16 @@ def _bandwidth(offsets) -> tuple[int, int]:
     return max(0, -min(offsets)), max(0, max(offsets))
 
 
-def structure_relation(
-    fam: OPSFamily,
-    pi: XPoly,
-    n: int,
-    expected: dict[int, Scalar] | None = None,
-) -> StructureReport:
-    """Expand pi * (D_q p_n) in the family basis; pi must be U_2."""
+def structure_relation(fam: OPSFamily, n: int) -> StructureReport:
+    """Expand U_2 D_q p_n in the family basis.
+
+    The report compares against no closed form, so its status is always
+    `pass`; `iter_proposition_reports` is the check against them.
+    """
     if n < 0:
         raise ValueError("index must be nonnegative")
-    if pi != u2():
-        raise ValueError("the relation is implemented for pi = U_2 only")
     ((check, _, shift, ex),) = _int_expansions(fam, range(n, n + 1), ("dq-relation",))
-    return _offsets_report(check, n, _scalars(ex, shift), expected)
+    return _offsets_report(check, n, _scalars(ex, shift), None)
 
 
 def _expected(check: str, n: int) -> dict[int, Scalar]:

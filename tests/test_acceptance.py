@@ -169,7 +169,7 @@ def test_criterion_6_operator_laws():
 
 
 def test_criterion_7_numeric_second_witness():
-    cfg = NumericConfig(rel_tol=NUMERIC_REL_TOL)
+    cfg = NumericConfig()
     t0 = time.perf_counter()
     summary = numeric_crosscheck(cfg, NUMERIC_NMAX)
     elapsed = time.perf_counter() - t0

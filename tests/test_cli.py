@@ -4,6 +4,7 @@ import fractions
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -145,7 +146,7 @@ FRACTION_NOTE = (
 )
 SMALL_VERIFY = (
     ("proposition", "--n-max", "2"),
-    ("proof", "--k-samples", "2"),
+    ("proof",),
     ("numeric", "--n-max", "1"),
     ("oracle", "--n-max", "1"),
 )
@@ -193,27 +194,20 @@ def test_verify_proposition_includes_bandwidth(capsys):
 
 
 def test_verify_proof(capsys):
-    code, out, _ = run(capsys, "verify", "proof", "--k-samples", "2,3", "--format", "json")
+    code, out, _ = run(capsys, "verify", "proof", "--format", "json")
     assert code == 0
     recs = json_lines(out)
     verdicts = [r for r in recs if "verdict" in r]
     assert len(verdicts) == 15
     assert all(r["verdict"] == "zero" for r in verdicts)
     coherence = [r for r in recs if r.get("check") == "instantiation-coherence"]
-    assert len(coherence) == 20
-
-
-def test_verify_proof_bad_k_samples(capsys):
-    code, _, err = run(capsys, "verify", "proof", "--k-samples", "2,x")
-    assert code == 2
-    assert "k-samples" in err
+    assert len(coherence) == 40
 
 
 def test_empty_samples_are_usage_errors(capsys):
     for argv in (
         ("verify", "numeric", "--q", ","),
         ("verify", "numeric", "--x", ","),
-        ("verify", "proof", "--k-samples", ","),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2
@@ -277,6 +271,19 @@ def test_verify_numeric_float_breakdown_fails(capsys, grid, where):
     assert where in rec["worst"]
 
 
+def test_worst_names_a_grid_point(capsys):
+    # the label names the grid's own floats; six digits would read q=0.123457
+    qs, xs = [0.1234567], [3.0000001, 1.5]
+    code, out, _ = run(
+        capsys, "verify", "numeric", "--q", "0.1234567", "--x", "3.0000001,1.5",
+        "--n-max", "12", "--format", "json",
+    )
+    assert code == 0
+    (rec,) = json_lines(out)
+    q, x = re.fullmatch(r"\S+ n=\d+ q=(\S+) x=(\S+) \S+", rec["worst"]).groups()
+    assert float(q) in qs and float(x) in xs
+
+
 def test_verify_oracle(capsys):
     code, out, _ = run(capsys, "verify", "oracle", "--n-max", "3", "--format", "json")
     assert code == 0
@@ -337,9 +344,12 @@ def test_text_format_is_default(capsys):
 
 
 def test_unknown_flag_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["verify", "proposition", "--frobnicate"])
-    assert info.value.code == 2
+    # the proof's spot-check indices are fixed, not an option
+    for argv in (("proposition", "--frobnicate"), ("proof", "--k-samples", "2")):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", *argv])
+        assert info.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_missing_subcommand_is_usage_error(capsys):

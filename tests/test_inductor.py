@@ -166,10 +166,10 @@ def test_verify_proof_derives_the_symbolic_step_once(monkeypatch, capsys):
         return residuals(k)
 
     monkeypatch.setattr(inductor, "_residuals", spy)
-    assert main(["verify", "proof", "--format", "json", "--k-samples", "2,3"]) == 0
+    assert main(["verify", "proof", "--format", "json"]) == 0
     # one symbolic run, then one instantiated run per k
-    assert symbolic == [True, False, False]
+    assert symbolic == [True, False, False, False, False]
     # the shared run gives the records of the three separate calls
     recs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     certs = certify_sq_step() + certify_dq_step() + certify_base_case()
-    assert recs == [c.record() for c in certs] + instantiation_coherence((2, 3))
+    assert recs == [c.record() for c in certs] + instantiation_coherence()

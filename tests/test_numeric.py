@@ -54,15 +54,8 @@ def test_config_validation():
         NumericConfig(x_samples=(float("inf"),))
     with pytest.raises(ValueError):
         NumericConfig(x_samples=(float("nan"),))
-    with pytest.raises(ValueError):
-        NumericConfig(rel_tol=0.0)
-    # configurations that would compare nothing, or pass any deviation
-    for bad in (
-        dict(q_samples=()),
-        dict(x_samples=()),
-        dict(rel_tol=float("inf")),
-        dict(rel_tol=float("nan")),
-    ):
+    # configurations that would compare nothing
+    for bad in (dict(q_samples=()), dict(x_samples=())):
         with pytest.raises(ValueError):
             NumericConfig(**bad)
 

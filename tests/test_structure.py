@@ -72,7 +72,7 @@ def test_expand_roundtrip():
 
 def test_structure_relation_n0():
     fam = counterexample_family()
-    rep = structure_relation(fam, u2(), 0)
+    rep = structure_relation(fam, 0)
     assert rep.coefficients == {}
     assert rep.bandwidth == (0, 0)
     assert rep.status == "pass"
@@ -80,7 +80,7 @@ def test_structure_relation_n0():
 
 def test_structure_relation_n1():
     fam = counterexample_family()
-    rep = structure_relation(fam, u2(), 1)
+    rep = structure_relation(fam, 1)
     # D_q P_1 = 1, so the relation just expands U_2 itself
     oracle = expand_in_basis(u2(), fam)
     assert rep.coefficients[1] == oracle[2] == ALPHA2M1
@@ -91,7 +91,7 @@ def test_structure_relation_n1():
 
 def test_structure_relation_n5():
     fam = counterexample_family()
-    rep = structure_relation(fam, u2(), 5)
+    rep = structure_relation(fam, 5)
     assert rep.bandwidth == (2, 1)
     assert not rep.coefficients[-2].is_zero
 
@@ -100,7 +100,7 @@ def test_relation_coefficients_match_closed_forms():
     fam = counterexample_family()
     s = coeff_suite()
     for n in range(2, 11):
-        rep = structure_relation(fam, u2(), n)
+        rep = structure_relation(fam, n)
         assert rep.coefficients[1] == s.c_n1.instantiate_n(n)
         assert rep.coefficients[0] == s.c_n2.instantiate_n(n)
         assert rep.coefficients[-1] == s.c_n3.instantiate_n(n)
@@ -110,18 +110,18 @@ def test_relation_coefficients_match_closed_forms():
 def test_relation_matches_x_side_pipeline():
     # a non-integral family is refused instead, see
     # test_corrupted_coefficient_fails[non-integral]
-    w = u2()
     fam = counterexample_family()
     for n in range(11):
-        rep = structure_relation(fam, w, n)
-        direct = expand_in_basis(w * CTX.dq(fam.poly(n)), fam)
+        rep = structure_relation(fam, n)
+        direct = expand_in_basis(u2() * CTX.dq(fam.poly(n)), fam)
         for k, c in enumerate(direct):
             assert rep.coefficients.get(k - n, ZERO) == c
 
 
 def test_residuals_reported_on_mismatch():
     fam = counterexample_family()
-    rep = structure_relation(fam, u2(), 2, expected={0: ONE})
+    offs = structure_relation(fam, 2).coefficients
+    rep = _offsets_report("dq-relation", 2, {o + 2: c for o, c in offs.items()}, {0: ONE})
     assert rep.status == "fail"
     assert rep.residuals
     rec = rep.record()
@@ -182,7 +182,7 @@ def test_corrupted_coefficient_fails(bump, integral):
         for read_b3 in (
             lambda: _int_recurrence(fam, 3),
             lambda: list(iter_proposition_reports(6, fam)),
-            lambda: structure_relation(fam, u2(), 6),
+            lambda: structure_relation(fam, 6),
             lambda: bandwidth_scan(fam, u2(), 6),
         ):
             with pytest.raises(ValueError, match="integral 2 a_n and 4 b_n"):
@@ -228,15 +228,13 @@ def test_bandwidth_scan_reuses_reports():
     with pytest.raises(ValueError):
         bandwidth_scan(fam, u2(), 6, reports=[r for r in reports if r.n != 3])
     # structure_relation reports carry the sweep's D_q label
-    single = [structure_relation(fam, u2(), n) for n in range(2, 7)]
+    single = [structure_relation(fam, n) for n in range(2, 7)]
     assert {r.check for r in single} == {"dq-relation"}
     assert bandwidth_scan(fam, u2(), 6, reports=single).rows == summary.rows
 
 
 def test_pi_other_than_u2_is_refused():
     fam = counterexample_family()
-    with pytest.raises(ValueError):
-        structure_relation(fam, X, 3)
     with pytest.raises(ValueError):
         bandwidth_scan(fam, X, 3)
 
@@ -249,7 +247,7 @@ def test_integral_family_never_takes_the_qtu_route(monkeypatch):
 
     monkeypatch.setattr(structure, "_expand_sym", refuse)
     monkeypatch.setattr(OperatorContext, "dq_sym", refuse)
-    rep = structure_relation(fam, u2(), 8)
+    rep = structure_relation(fam, 8)
     assert rep.bandwidth == (2, 1) and rep.status == "pass"
     assert bandwidth_scan(fam, u2(), 8).status == "pass"
 
@@ -372,7 +370,7 @@ def test_scan_and_relation_expand_only_u2_dq(monkeypatch):
 
     monkeypatch.setattr(structure, "_sq_rows", refuse)
     monkeypatch.setattr(structure, "_dq_rows", spy)
-    rep = structure_relation(counterexample_family(), u2(), 8)
+    rep = structure_relation(counterexample_family(), 8)
     assert rep.status == "pass" and rep.bandwidth == (2, 1)
     # one expansion, of the nine rows of Q_8
     assert [len(q) for q in calls] == [9]

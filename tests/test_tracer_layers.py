@@ -6,6 +6,8 @@ import inspect
 import os
 import types
 
+import pytest
+
 import qaw
 
 PERFBENCH = os.path.join(
@@ -68,6 +70,29 @@ def test_worker_calls_resolve_and_bind():
         source = fh.read()
     assert "qaw.numeric_crosscheck(" in source
     assert qaw_use_problems(source, qaw) == []
+
+
+def test_worker_config_reads_resolve():
+    # `extract_witness` reads `cfg.<name>` off `qaw.NumericConfig()`; rel_tol
+    # is a class constant there, not a field that a caller can set
+    with open(os.path.join(PERFBENCH, "worker.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    (func,) = [
+        f for f in ast.walk(tree)
+        if isinstance(f, ast.FunctionDef) and f.name == "extract_witness"
+    ]
+    reads = {
+        node.attr
+        for node in ast.walk(func)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "cfg"
+    }
+    assert reads == {"q_samples", "x_samples", "rel_tol"}
+    cfg = qaw.NumericConfig()
+    assert all(hasattr(cfg, attr) for attr in reads)
+    with pytest.raises(TypeError):
+        qaw.NumericConfig(rel_tol=1e-9)
 
 
 def test_the_worker_scan_sees_a_broken_use():
