@@ -49,7 +49,7 @@ class OperatorContext:
         # m = j+1, j+3, ...: a suffix sum by parity from the top down
         out: dict[int, Scalar] = {}
         acc = [ZERO, ZERO]
-        for m in range(max(f.max_exp, 0), 0, -1):
+        for m in range(max(f.degree, 0), 0, -1):
             c = f.coeff(m)
             if c:
                 two_qint = Scalar.from_terms(

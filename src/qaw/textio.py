@@ -325,20 +325,16 @@ def _var_poly(pairs, var: str, st: _Style) -> str:
     return _join_signed(parts)
 
 
-def _xpairs(f: XPoly) -> list[tuple[int, Scalar]]:
-    return [(k, f._t[k]) for k in sorted(f._t, reverse=True)]
-
-
 def render_scalar(s: Scalar) -> str:
     return _render_terms(s.laurent_terms(), _TEXT)
 
 
 def render_xpoly(f: XPoly) -> str:
-    return _var_poly(_xpairs(f), "x", _TEXT)
+    return _var_poly(f.terms(), "x", _TEXT)
 
 
 def latex_xpoly(f: XPoly) -> str:
-    return _var_poly(_xpairs(f), "x", _LATEX)
+    return _var_poly(f.terms(), "x", _LATEX)
 
 
 def render_zlaurent(g: ZLaurent) -> str:

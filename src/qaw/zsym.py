@@ -11,9 +11,10 @@ supplies the two types that pipeline needs:
 
 plus the two exact conversions between XPoly and the ZLaurents that are
 symmetric under z -> z^-1.  Both types store one dict {exponent: nonzero
-Scalar}, keyed by degree in x or exponent of z, and share one arithmetic
-shell, `_Poly`, on the dict kernels of `scalar`; a key z^m is what
-`_pdiv` reads as t^0 u^m.
+Scalar}, keyed by degree in x or exponent of z.  Their operators are
+those of Scalar, from the one ring shell `scalar._Ring`; `_Poly` adds
+only what exponent keys and Scalar coefficients allow.  A key z^m is
+what `_pdiv` reads as t^0 u^m.
 """
 
 from __future__ import annotations
@@ -23,77 +24,34 @@ from math import inf as _INF
 from typing import Iterable, Iterator
 
 from .scalar import Rat, Scalar, as_scalar, ZERO, ONE
-from .scalar import _collect, _padd, _pdiv, _pmul, _power, _psub
+from .scalar import _Ring, _collect, _padd, _pdiv, _power
 
 NEG_INF = -_INF
 
 
-class _Poly:
-    """A dict {exponent: nonzero Scalar} with its ring operations; each
-    subclass's `_coerce` returns NotImplemented for a foreign operand."""
+class _Poly(_Ring):
+    """The ring shell of `scalar` over Scalar coefficients, keyed by an
+    integer exponent, with the queries that such keys allow."""
 
-    __slots__ = ("_t",)
-
-    @classmethod
-    def _raw(cls, t: dict):
-        p = cls.__new__(cls)
-        p._t = t
-        return p
+    __slots__ = ()
 
     def coeff(self, k: int) -> Scalar:
         return self._t.get(k, ZERO)
 
-    def __bool__(self) -> bool:
-        return bool(self._t)
+    @property
+    def degree(self):
+        return max(self._t) if self._t else NEG_INF
 
-    def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._t == other._t
-
-    def __neg__(self):
-        return self._raw({k: -c for k, c in self._t.items()})
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._raw(_padd(self._t, other._t))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._raw(_psub(self._t, other._t))
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._raw(_psub(other._t, self._t))
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._raw(_pmul(self._t, other._t))
-
-    __rmul__ = __mul__
+    def terms(self) -> Iterator[tuple[int, Scalar]]:
+        """Yield (exponent, coefficient), highest exponent first."""
+        for m in sorted(self._t, reverse=True):
+            yield m, self._t[m]
 
     def scale(self, c):
         s = as_scalar(c)
         if s.is_zero:
             return self._raw({})
         return self._raw({k: v * s for k, v in self._t.items()})
-
-    def __str__(self) -> str:
-        return self.render()
-
-    def __repr__(self) -> str:
-        return "%s(%s)" % (type(self).__name__, self.render())
 
 
 class XPoly(_Poly):
@@ -141,22 +99,11 @@ class XPoly(_Poly):
     # -- queries -----------------------------------------------------------
 
     @property
-    def degree(self):
-        return max(self._t) if self._t else NEG_INF
-
-    @property
     def leading(self) -> Scalar:
         return self.coeff(self.degree)
 
     def coeffs(self) -> tuple:
         return tuple(self.coeff(k) for k in range(max(self._t, default=-1) + 1))
-
-    def __hash__(self) -> int:
-        # a constant hashes as the Scalar it equals, as `==` makes it
-        # equal to one, and the zero polynomial as ZERO
-        if self.degree < 1:
-            return hash(self.coeff(0))
-        return hash(frozenset(self._t.items()))
 
     def __pow__(self, e: int) -> "XPoly":
         if not isinstance(e, int) or e < 0:
@@ -185,6 +132,7 @@ class ZLaurent(_Poly):
     """
 
     __slots__ = ()
+    __hash__ = None
 
     def __init__(self, terms=()):
         items = terms.items() if hasattr(terms, "items") else terms
@@ -195,14 +143,6 @@ class ZLaurent(_Poly):
         return v if isinstance(v, ZLaurent) else NotImplemented
 
     # -- queries -----------------------------------------------------------
-
-    def terms(self) -> Iterator[tuple[int, Scalar]]:
-        for m in sorted(self._t, reverse=True):
-            yield m, self._t[m]
-
-    @property
-    def max_exp(self):
-        return max(self._t) if self._t else NEG_INF
 
     def is_symmetric(self) -> bool:
         t = self._t

@@ -152,7 +152,7 @@ def test_symmetry_and_degree_preserved():
         g = x_to_z(f)
         assert g.is_symmetric()
         if f:
-            assert g.max_exp == f.degree
+            assert g.degree == f.degree
 
 
 def test_z_scale_examples():
