@@ -248,29 +248,24 @@ def aw_hyp_poly(
     which only perturbs the overall scale, and the one true division is
     the final monic normalisation.  That divides each coefficient by the
     leading one, and by Gauss's lemma it is exact wherever the monic p_n
-    has Laurent coefficients: for d = 0 and monomial a, b, c, the
-    continuous dual q-Hahn case that every caller builds.  Otherwise, as
-    for most d != 0, it raises ExactDivisionError.
-    base must be a nonzero monomial, or ValueError.
+    has Laurent coefficients: for monomial a, b, c, the continuous dual
+    q-Hahn case that every caller builds.
+    d must be zero and base a nonzero monomial, or ValueError.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
     if a.is_zero:
         raise ValueError("parameter a must be nonzero")
+    if not d.is_zero:
+        raise ValueError("parameter d must be zero, the continuous dual q-Hahn case")
     _check_monomial("base", base)
     q = base
     qmn = q ** (-n)
-    big = a * b * c * d * q ** (n - 1)
 
     dens = []
     qk = ONE
     for _ in range(n):
-        dens.append(
-            (ONE - qk * q)
-            * (ONE - a * b * qk)
-            * (ONE - a * c * qk)
-            * (ONE - a * d * qk)
-        )
+        dens.append((ONE - qk * q) * (ONE - a * b * qk) * (ONE - a * c * qk))
         qk = qk * q
     if any(dk.is_zero for dk in dens):
         raise ValueError("degenerate parameters: vanishing denominator factor")
@@ -286,7 +281,7 @@ def aw_hyp_poly(
         f = f + xprod.scale(numk * suffix[k])
         if k == n:
             break
-        numk = numk * (ONE - qmn * qk) * (ONE - big * qk) * q
+        numk = numk * (ONE - qmn * qk) * q
         g = a * qk
         xprod = xprod * XPoly([ONE + g * g, g.scale(-2)])
         qk = qk * q
