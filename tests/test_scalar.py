@@ -1,10 +1,12 @@
 """Exact arithmetic in Q[t^+-1, u^+-1]."""
 
+import doctest
 import random
 from fractions import Fraction
 
 import pytest
 
+import qaw.scalar
 from qaw.scalar import (
     HALF,
     MAX_EXPONENT,
@@ -20,6 +22,7 @@ from qaw.scalar import (
     tpow,
     upow,
 )
+from qaw.zsym import XPoly, ZLaurent
 
 
 def qint(n):
@@ -297,3 +300,48 @@ def test_parse_render_roundtrip():
         a = rand_scalar(rng) * rand_scalar(rng, nonzero=True)
         assert Scalar.parse(a.render()) == a
     assert Scalar.parse("(1/2)*t^2*u^-1 + 1") == HALF * tpow(2) * upow(-1) + ONE
+
+
+def test_cross_type_and_reflected_operators(monkeypatch):
+    # Scalar, XPoly and ZLaurent share one operator shell; a reflected
+    # Scalar operator delegates to the forward one
+    s = HALF * T + U
+    X = XPoly.x()
+    for got, want in (
+        (3 - s, rational(3) - s),
+        (1 + s, s + rational(1)),
+        (2 * s, s * rational(2)),
+        (1 / T, ONE / T),
+    ):
+        assert type(got) is Scalar and got == want
+    assert s + X == XPoly([s, ONE]) == X + s
+    assert 1 - X == XPoly([ONE, -ONE])
+    assert s * X == XPoly([ZERO, s])
+    for v in (s + X, X + s, 1 - X, s * X):
+        assert type(v) is XPoly
+    assert s == XPoly([s]) and XPoly([s]) == s
+    with pytest.raises(TypeError):
+        ZLaurent({1: ONE, -1: ONE}) + T
+    assert hash(rational(3)) == hash(Rat(3))
+    assert hash(XPoly([rational(3)])) == hash(rational(3))
+    assert hash(XPoly.zero()) == hash(ZERO)
+    assert hash(X + 1) == hash(XPoly([1, 1]))
+
+    # the benchmark's tracer counts `3 - s` and `1 / T` once each, by
+    # wrapping only __sub__ and __truediv__ in Scalar's own __dict__
+    calls = []
+    for name in ("__sub__", "__truediv__"):
+        orig = vars(Scalar)[name]
+
+        def spy(self, other, _orig=orig, _name=name):
+            calls.append(_name)
+            return _orig(self, other)
+
+        monkeypatch.setattr(Scalar, name, spy)
+    for op, name in ((lambda: 3 - s, "__sub__"), (lambda: 1 / T, "__truediv__")):
+        calls.clear()
+        op()
+        assert calls == [name]
+
+    result = doctest.testmod(qaw.scalar)
+    assert result.failed == 0 and result.attempted >= 3

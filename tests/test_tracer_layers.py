@@ -95,6 +95,28 @@ def test_worker_config_reads_resolve():
         qaw.NumericConfig(rel_tol=1e-9)
 
 
+def test_worker_runs_the_cli_defaults(monkeypatch):
+    # the worker keeps its own copies of the CLI's defaults; a changed
+    # default would otherwise leave a workload measuring the old value
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import worker
+
+    from qaw import cli, inductor
+
+    parser = cli._build_parser()
+    for target, nmax in (
+        ("proposition", worker.SWEEP_NMAX),
+        ("numeric", worker.WITNESS_NMAX),
+        ("oracle", worker.ORACLE_NMAX),
+    ):
+        assert parser.parse_args(["verify", target]).n_max == nmax, target
+    assert worker.PROOF_K_SAMPLES == inductor._K_SAMPLES
+    args = parser.parse_args(["verify", "numeric"])
+    cfg = qaw.NumericConfig()
+    assert tuple(float(v) for v in args.q.split(",")) == cfg.q_samples
+    assert tuple(float(v) for v in args.x.split(",")) == cfg.x_samples
+
+
 def test_the_worker_scan_sees_a_broken_use():
     fake = types.SimpleNamespace(f=lambda a, b=1: None)
     src = "qaw.f(1)\nqaw.f(1, b=2)\nqaw.f(1, 2, 3)\nqaw.f(1, c=2)\nqaw.g()\nqaw.h\n"
