@@ -301,6 +301,7 @@ class _Ring:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        # through the forward operator, so that a traced __sub__ counts it
         return other.__sub__(self)
 
     def __mul__(self, other):
