@@ -41,56 +41,58 @@ def _emit(rec: dict, fmt: str):
     print(format_record(rec, fmt), flush=True)
 
 
-def _cmd_proposition(args) -> int:
-    if args.n_max < 0:
+def _verify(args) -> int:
+    """Emit the target's records as they come; 1 unless every one passes.
+
+    A record passes when its status is "pass" or its verdict "zero", so
+    one with neither fails.
+    """
+    if getattr(args, "n_max", 0) < 0:
         raise ValueError("--n-max must be nonnegative")
-    fam = counterexample_family()
     ok = True
+    for rec in args.records(args):
+        _emit(rec, args.format)
+        ok = ok and rec.get("status", rec.get("verdict")) in ("pass", "zero")
+    if Rat.__module__ == "fractions":
+        # the backend sets the speed of a run, not its records, so the
+        # note stays off stdout
+        print(
+            "note: gmpy2 is not installed; exact arithmetic ran on fractions.Fraction",
+            file=sys.stderr,
+        )
+    return 0 if ok else 1
+
+
+def _proposition(args):
+    fam = counterexample_family()
     reports = []
     for rep in iter_proposition_reports(args.n_max, fam):
         reports.append(rep)
-        _emit(rep.record(), args.format)
-        ok = ok and rep.status == "pass"
+        yield rep.record()
     if args.n_max >= 2:
-        summary = bandwidth_scan(fam, u2(), args.n_max, reports=reports)
-        _emit(summary.record(), args.format)
-        ok = ok and summary.status == "pass"
-    return 0 if ok else 1
+        yield bandwidth_scan(fam, u2(), args.n_max, reports=reports).record()
 
 
-def _cmd_proof(args) -> int:
-    ok = True
+def _proof(args):
     certs, coherence = certify_proof()
-    for cert in certs:
-        _emit(cert.record(), args.format)
-        ok = ok and cert.verdict == "zero"
-    for rec in coherence:
-        _emit(rec, args.format)
-        ok = ok and rec["status"] == "pass"
-    return 0 if ok else 1
+    yield from (cert.record() for cert in certs)
+    yield from coherence
 
 
-def _cmd_numeric(args) -> int:
-    if args.n_max < 0:
-        raise ValueError("--n-max must be nonnegative")
+def _numeric(args):
     try:
         qs = tuple(float(p) for p in args.q.split(",") if p.strip())
         xs = tuple(float(p) for p in args.x.split(",") if p.strip())
     except ValueError:
         raise ValueError("--q/--x want comma-separated floats") from None
     cfg = NumericConfig(q_samples=qs, x_samples=xs)
-    summary = numeric_crosscheck(cfg, args.n_max)
-    _emit(summary.record(), args.format)
-    return 0 if summary.status == "pass" else 1
+    yield numeric_crosscheck(cfg, args.n_max).record()
 
 
 _GENERIC_PARAMS = FamilyParams(tpow(1), tpow(2), tpow(3), tpow(4))
 
 
-def _cmd_oracle(args) -> int:
-    if args.n_max < 0:
-        raise ValueError("--n-max must be nonnegative")
-    ok = True
+def _oracle(args):
     sets = (
         ("counterexample", COUNTEREXAMPLE_PARAMS, counterexample_family()),
         ("generic", _GENERIC_PARAMS, dual_qhahn_family(_GENERIC_PARAMS)),
@@ -98,16 +100,12 @@ def _cmd_oracle(args) -> int:
     for label, p, fam in sets:
         for n in range(args.n_max + 1):
             hyp = aw_hyp_poly(n, p.a, p.b, p.c, ZERO, p.base)
-            match = hyp == fam.poly(n)
-            rec = {
+            yield {
                 "check": "oracle",
                 "params": label,
                 "n": n,
-                "status": "pass" if match else "fail",
+                "status": "pass" if hyp == fam.poly(n) else "fail",
             }
-            _emit(rec, args.format)
-            ok = ok and match
-    return 0 if ok else 1
 
 
 def _cmd_expand(args) -> int:
@@ -174,25 +172,24 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run verification checks")
     vsub = verify.add_subparsers(dest="target", required=True)
 
-    def vparser(name, help_text):
+    def vparser(name, help_text, records):
         p = vsub.add_parser(name, help=help_text)
         p.add_argument(
             "--format", choices=("json", "text"), default="text",
             help="record format, one per line (default text)",
         )
+        p.set_defaults(func=_verify, records=records)
         return p
 
-    p = vparser("proposition", "exact structure-relation sweep")
+    p = vparser("proposition", "exact structure-relation sweep", _proposition)
     p.add_argument(
         "--n-max", type=int, default=40,
         help="largest index checked (default 40)",
     )
-    p.set_defaults(func=_cmd_proposition)
 
-    p = vparser("proof", "symbolic step and base-case certificates")
-    p.set_defaults(func=_cmd_proof)
+    vparser("proof", "symbolic step and base-case certificates", _proof)
 
-    p = vparser("numeric", "float lattice cross-check")
+    p = vparser("numeric", "float lattice cross-check", _numeric)
     p.add_argument("--n-max", type=int, default=15)
     p.add_argument(
         "--q", default="0.3,0.7", metavar="Q1,Q2,...",
@@ -202,11 +199,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--x", default="1.1,1.5,2.0,3.0", metavar="X1,X2,...",
         help="comma-separated x samples with |x| > 1",
     )
-    p.set_defaults(func=_cmd_numeric)
 
-    p = vparser("oracle", "recurrence vs hypergeometric construction")
+    p = vparser("oracle", "recurrence vs hypergeometric construction", _oracle)
     p.add_argument("--n-max", type=int, default=8)
-    p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("expand", help="expand a polynomial in the family basis")
     p.add_argument(
@@ -241,7 +236,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        return args.func(args)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
@@ -250,14 +245,6 @@ def main(argv=None) -> int:
         # so interpreter shutdown does not trip over the dead pipe
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    if args.command == "verify" and Rat.__module__ == "fractions":
-        # the backend sets the speed of a run, not its records, so the
-        # note stays off stdout
-        print(
-            "note: gmpy2 is not installed; exact arithmetic ran on fractions.Fraction",
-            file=sys.stderr,
-        )
-    return code
 
 
 if __name__ == "__main__":

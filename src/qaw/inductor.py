@@ -56,26 +56,22 @@ _DQ_OFFSETS = (
 
 
 class IdentityCertificate(NamedTuple):
-    """One identity, its residual, and the zero/nonzero verdict."""
+    """One identity and its residual, a Scalar, or an XPoly for the
+    operator checks; the identity holds when the residual is zero."""
 
     name: str
-    residual: Scalar
-    verdict: str
-    rendering: str
+    residual: Scalar | XPoly
+
+    @property
+    def verdict(self) -> str:
+        return "nonzero" if self.residual else "zero"
 
     def record(self) -> dict:
         return {
             "name": self.name,
             "verdict": self.verdict,
-            "residual_text": self.rendering,
+            "residual_text": self.residual.render() if self.residual else "",
         }
-
-
-def _cert(name: str, residual: Scalar) -> IdentityCertificate:
-    zero = residual.is_zero
-    return IdentityCertificate(
-        name, residual, "zero" if zero else "nonzero", "" if zero else residual.render()
-    )
 
 
 def _suites(k: int | None) -> dict[int, CoeffSuite]:
@@ -145,7 +141,7 @@ def derive_step(k: int | None = None) -> tuple[Sum, Sum]:
     return _step(_suites(k))
 
 
-def _residuals(k: int | None = None) -> list[tuple[str, Scalar]]:
+def _residuals(k: int | None = None) -> list[IdentityCertificate]:
     """Derived minus claimed at n+1, offset by offset: the ten step identities."""
     at = _suites(k)
     sq_next, dq_next = _step(at)
@@ -155,27 +151,20 @@ def _residuals(k: int | None = None) -> list[tuple[str, Scalar]]:
         (_DQ_OFFSETS, dq_next, _dq_claim(at[1], 1)),
     ):
         out += [
-            (name, derived.get(j, ZERO) - claimed.get(j, ZERO)) for name, j in offsets
+            IdentityCertificate(name, derived.get(j, ZERO) - claimed.get(j, ZERO))
+            for name, j in offsets
         ]
     return out
 
 
 def certify_sq_step() -> list[IdentityCertificate]:
     """The four offsets of the derived S_q P_{n+1}, symbolic in u."""
-    return [_cert(*item) for item in _residuals()[: len(_SQ_OFFSETS)]]
+    return _residuals()[: len(_SQ_OFFSETS)]
 
 
 def certify_dq_step() -> list[IdentityCertificate]:
     """The six offsets of the derived U_2 D_q P_{n+1}, symbolic in u."""
-    return [_cert(*item) for item in _residuals()[len(_SQ_OFFSETS) :]]
-
-
-def _poly_residual_cert(name: str, diff: XPoly) -> IdentityCertificate:
-    if not diff:
-        return IdentityCertificate(name, ZERO, "zero", "")
-    # a failing polynomial check surfaces its top coefficient as the
-    # residual scalar and the whole polynomial in the rendering
-    return IdentityCertificate(name, diff.leading, "nonzero", diff.render())
+    return _residuals()[len(_SQ_OFFSETS) :]
 
 
 def certify_base_case() -> list[IdentityCertificate]:
@@ -186,16 +175,14 @@ def certify_base_case() -> list[IdentityCertificate]:
     ctx = context()
     p0 = fam.poly(0)
     return [
-        _cert("base-alpha0", s0.alpha_n - ONE),
-        _cert("base-c0", s0.c_n),
-        _cert(
+        IdentityCertificate("base-alpha0", s0.alpha_n - ONE),
+        IdentityCertificate("base-c0", s0.c_n),
+        IdentityCertificate(
             "base-c1-cancel",
             c1 - ALPHA * s0.c_n + (ONE - ALPHA) * s0.alpha_n * s0.B_n,
         ),
-        _poly_residual_cert(
-            "base-sq-constant", ctx.sq(p0) - p0.scale(s0.alpha_n)
-        ),
-        _poly_residual_cert("base-dq-constant", ctx.u2() * ctx.dq(p0)),
+        IdentityCertificate("base-sq-constant", ctx.sq(p0) - p0.scale(s0.alpha_n)),
+        IdentityCertificate("base-dq-constant", ctx.u2() * ctx.dq(p0)),
     ]
 
 
@@ -212,7 +199,7 @@ def instantiation_coherence(ks=_K_SAMPLES) -> list[dict]:
     return _coherence(_residuals(), ks)
 
 
-def _coherence(sym: list[tuple[str, Scalar]], ks) -> list[dict]:
+def _coherence(sym: list[IdentityCertificate], ks) -> list[dict]:
     """`instantiation_coherence` against the symbolic residuals sym."""
     out = []
     for k in ks:
@@ -237,5 +224,4 @@ def certify_proof() -> tuple[list[IdentityCertificate], list[dict]]:
     `instantiation_coherence()`.
     """
     sym = _residuals()
-    certs = [_cert(*item) for item in sym] + certify_base_case()
-    return certs, _coherence(sym, _K_SAMPLES)
+    return sym + certify_base_case(), _coherence(sym, _K_SAMPLES)
