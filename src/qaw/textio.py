@@ -56,6 +56,12 @@ _RING_MSG = "result is not a Laurent polynomial in t and u"
 MAX_POWER_TERMS = 1 << 10
 _SIZE_MSG = "power beyond the supported range of %d terms" % MAX_POWER_TERMS
 
+# The most bits that the numerator or the denominator of a coefficient in
+# parsed text may hold.  2^14284 < 10^4300, the most digits that int()
+# and str() convert by default, so every accepted value renders.
+MAX_COEFF_BITS = 14284
+_BITS_MSG = "coefficient beyond the supported range of %d bits" % MAX_COEFF_BITS
+
 
 def _monomial_count(exps: set[tuple[int, ...]], e: int) -> int:
     """A bound on the monomials of the e-th power of a sum over exps: the
@@ -72,6 +78,21 @@ def _power_size(v: XPoly, e: int) -> int:
     e = abs(e)
     slots = v.degree * e + 1
     return max(slots, _monomial_count(terms, e)) + slots
+
+
+def _power_bits(v: XPoly, e: int) -> float:
+    """A bound on the bits of each numerator and denominator of v^e, v nonzero.
+
+    With m terms, N the largest numerator and D the lcm of the
+    denominators, v = w/D with each coefficient of w at most N D, so a
+    coefficient of v^e is a sum of at most m^e products over D^e: its
+    numerator is at most (m N D)^e and its denominator divides D^e.  A
+    negative e inverts a monomial, where m = 1, and swaps the two.
+    """
+    rats = [r for c in v.coeffs() for _, _, r in c.laurent_terms()]
+    n = max(abs(int(r.numerator)) for r in rats)
+    d = math.lcm(*(int(r.denominator) for r in rats))
+    return abs(e) * (math.log2(len(rats)) + math.log2(n) + math.log2(d))
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -129,9 +150,15 @@ class _Parser:
     @staticmethod
     def _checked(v: XPoly, pos: int) -> XPoly:
         # every intermediate stays in range, so none can reach the 2^31
-        # at which the packed u-exponent would wrap
-        if any(_max_exponent(c) > MAX_EXPONENT for c in v.coeffs()):
-            raise ParseError(_RANGE_MSG, pos)
+        # at which the packed u-exponent would wrap, and each coefficient
+        # renders
+        for c in v.coeffs():
+            if _max_exponent(c) > MAX_EXPONENT:
+                raise ParseError(_RANGE_MSG, pos)
+            for _, _, r in c.laurent_terms():
+                bits = max(r.numerator.bit_length(), r.denominator.bit_length())
+                if bits > MAX_COEFF_BITS:
+                    raise ParseError(_BITS_MSG, pos)
         return v
 
     def expr(self) -> XPoly:
@@ -180,6 +207,8 @@ class _Parser:
             e = self.exponent()
             if v and _power_size(v, e) > MAX_POWER_TERMS:
                 raise ParseError(_SIZE_MSG, pos)
+            if v and _power_bits(v, e) >= MAX_COEFF_BITS:
+                raise ParseError(_BITS_MSG, pos)
             if v.degree > 0:
                 if e < 0:
                     raise ParseError("negative power of x", pos)
@@ -193,13 +222,6 @@ class _Parser:
 
     @staticmethod
     def _scalar_pow(c: Scalar, e: int, pos: int) -> Scalar:
-        if c.is_rational:
-            r = c.as_rational()
-            k = int(max(abs(r.numerator), r.denominator))
-            # k^|e| needs floor(|e| log2 k) + 1 bits; refuse it before it
-            # is computed if that is more than MAX_EXPONENT
-            if abs(e) * math.log2(k) >= MAX_EXPONENT:
-                raise ParseError(_RANGE_MSG, pos)
         try:
             return c ** e
         except OverflowError:
@@ -226,6 +248,9 @@ class _Parser:
     def atom(self) -> XPoly:
         kind, val, pos = self.take()
         if kind == "num":
+            # val < 10^len(val); int() would refuse more than 4300 digits
+            if len(val) * math.log2(10) >= MAX_COEFF_BITS:
+                raise ParseError(_BITS_MSG, pos)
             return XPoly((rational(int(val)),))
         if kind == "name":
             if val == "t":

@@ -1,15 +1,18 @@
 """Parsing, rendering, and the one-record-per-line output format."""
 
 import json
+import math
 import random
 
 import pytest
 
+from qaw import scalar
 from qaw.families import counterexample_family
 from qaw.scalar import HALF, MAX_EXPONENT, ONE, Scalar, T, U, rational, tpow, upow
 from qaw.textio import (
     MAX_POWER_TERMS,
     ParseError,
+    _power_bits,
     _power_size,
     format_record,
     latex_xpoly,
@@ -160,28 +163,85 @@ def test_power_size_is_checked(text, pos):
     assert "supported range" in str(info.value)
 
 
+# (text, e, the predicted size of text^e)
+POWER_CASES = [
+    ("x+t+u", 6, 28 + 7),
+    ("(1+t)*u^-1", 16, 17 + 1),
+    ("t^-1-u", 16, 17 + 1),
+    ("x", 256, 257 + 257),
+    ("1+t", 256, 257 + 1),
+    ("x+t^-1", 4, 5 + 5),
+    ("t^3/7", 99, 2),
+    ("t^3/7", -99, 2),
+]
+
+
+def power(v, e):
+    return v ** e if e > 0 else XPoly((v.coeff(0) ** e,))
+
+
 def test_power_size_prediction():
     # the multisets of a few monomials, and one entry per dense x slot
-    cases = [
-        ("x+t+u", 6, 28 + 7),
-        ("(1+t)*u^-1", 16, 17 + 1),
-        ("t^-1-u", 16, 17 + 1),
-        ("x", 256, 257 + 257),
-        ("1+t", 256, 257 + 1),
-        ("x+t^-1", 4, 5 + 5),
-        ("t^3/7", 99, 2),
-        ("t^3/7", -99, 2),
-    ]
-    for text, e, size in cases:
+    for text, e, size in POWER_CASES:
         assert _power_size(parse_xpoly(text), e) == size, text
     # the prediction bounds the terms the power holds
-    for text, e, _ in cases:
+    for text, e, _ in POWER_CASES:
         v = parse_xpoly(text)
-        held = sum(
-            len(list(c.laurent_terms())) + 1
-            for c in (v ** e if e > 0 else XPoly((v.coeff(0) ** e,))).coeffs()
-        )
+        held = sum(len(list(c.laurent_terms())) + 1 for c in power(v, e).coeffs())
         assert held <= _power_size(v, e), text
+
+
+def test_power_bits_prediction():
+    # every numerator and denominator of v^e is at most 2^_power_bits(v, e)
+    cases = [(text, e) for text, e, _ in POWER_CASES]
+    cases += [("t/3 + 1/5", 40), ("(2^40*t - 3)/7", 12), ("(2^40*t - 3)/7", 1)]
+    for text, e in cases:
+        v = parse_xpoly(text)
+        bound = _power_bits(v, e)
+        for c in power(v, e).coeffs():
+            for _, _, r in c.laurent_terms():
+                for k in (abs(r.numerator), r.denominator):
+                    assert math.log2(k) <= bound * (1 + 1e-12), (text, e)
+    # the logarithms of the values, not their bit lengths: 2^14000 needs
+    # 14000 bits, and 3 * log2(2^14000 + 1) would read 42000
+    assert _power_bits(parse_xpoly("2"), 14000) == 14000
+
+
+@pytest.mark.parametrize(
+    "text,pos",
+    [
+        ("2^15000", 1),
+        ("(2^5000*t+1)^3", 12),
+        ("(2^5000*t+1)^1000", 12),
+        ("2^10000*2^10000", 7),
+        ("9" * 4300, 0),
+    ],
+)
+def test_coefficient_bits_are_checked(text, pos, monkeypatch):
+    # a power is refused at its "^" before any product is formed, so the
+    # refused text multiplies no more than its base alone does
+    products = []
+    pmul = scalar._pmul
+    monkeypatch.setattr(scalar, "_pmul", lambda a, b: products.append(1) or pmul(a, b))
+    with pytest.raises(ParseError) as info:
+        parse_xpoly(text)
+    assert info.value.pos == pos
+    assert "supported range" in str(info.value)
+    if text[pos] == "^":
+        refused = len(products)
+        products.clear()
+        parse_xpoly(text[:pos])
+        assert refused == len(products), text
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["x^511", "(x+1)^511", "(1+t)^1022", "(x+t+u)^42", "2^14000", "1/3^9000", "9" * 4299],
+)
+def test_coefficients_in_range_render(text):
+    # 2^14000 and 3^9000 hold 4215 and 4295 digits, inside the 4300 that
+    # str() converts by default
+    assert parse_xpoly(text).render()
 
 
 def test_power_size_limit():
