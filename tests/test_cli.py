@@ -176,6 +176,20 @@ def test_other_commands_keep_stderr_empty(capsys, monkeypatch):
         assert out
 
 
+def test_every_verify_record_is_emitted_and_judged(capsys, monkeypatch):
+    recs = [{"status": "pass"}, {"verdict": "nonzero"}, {"verdict": "zero"}]
+    monkeypatch.setattr(qaw.cli, "_proof", lambda args: iter(recs))
+    code, out, _ = run(capsys, "verify", "proof", "--format", "json")
+    assert code == 1
+    assert json_lines(out) == recs
+
+
+def test_a_record_without_a_verdict_fails(capsys, monkeypatch):
+    # neither "status" nor "verdict": never a silent pass
+    monkeypatch.setattr(qaw.cli, "_proof", lambda args: iter([{"check": "x"}]))
+    assert run(capsys, "verify", "proof")[:2] == (1, "check=x\n")
+
+
 def test_verify_proposition_base_case(capsys):
     code, out, _ = run(capsys, "verify", "proposition", "--n-max", "0", "--format", "json")
     assert code == 0

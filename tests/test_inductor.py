@@ -9,6 +9,7 @@ from qaw.awcore import ALPHA, context
 from qaw.cli import main
 from qaw.families import coeff_suite, counterexample_family
 from qaw.inductor import (
+    IdentityCertificate,
     certify_base_case,
     certify_dq_step,
     certify_sq_step,
@@ -77,6 +78,25 @@ def test_certificate_records():
     assert rec["name"] == cert.name
     assert rec["verdict"] == "zero"
     assert rec["residual_text"] == ""
+
+
+def test_certificate_is_its_name_and_residual():
+    # the verdict and the rendering are derived, never stored
+    assert IdentityCertificate._fields == ("name", "residual")
+    assert IdentityCertificate("c", ZERO).verdict == "zero"
+    assert IdentityCertificate("c", ONE - ALPHA).verdict == "nonzero"
+
+
+def test_operator_certificate_renders_the_whole_polynomial():
+    # a failing base-case operator check shows every coefficient, not
+    # only the leading one
+    diff = XPoly.x() * ALPHA + ONE
+    cert = IdentityCertificate("base-sq-constant", diff)
+    assert cert.verdict == "nonzero"
+    assert cert.record()["residual_text"] == diff.render()
+    assert diff.render() != diff.leading.render()
+    cert = IdentityCertificate("base-sq-constant", XPoly.zero())
+    assert (cert.verdict, cert.record()["residual_text"]) == ("zero", "")
 
 
 def test_instantiation_coherence_defaults():
