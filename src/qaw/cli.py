@@ -142,7 +142,9 @@ def _cmd_eval(args) -> int:
         raise ValueError("--x must be finite")
     # the recurrence itself, in floats: Horner's rule on the monomial
     # x-form cancels, about 1e-7 relative at n = 40
-    cur = _recurrence(counterexample_family(), args.q, args.n)(args.x)[-1]
+    fam = counterexample_family()
+    rec = [(fam.rec_a(k), fam.rec_b(k)) for k in range(args.n)]
+    cur = _recurrence(rec, args.q)(args.x)[-1]
     if not math.isfinite(cur):
         raise ValueError("p_%d(%r) is not finite in floating point" % (args.n, args.x))
     print(cur)

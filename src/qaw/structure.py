@@ -197,14 +197,17 @@ def structure_relation(fam: OPSFamily, n: int) -> StructureReport:
     return _offsets_report(check, n, _scalars(ex, shift), None)
 
 
-def _expected(check: str, n: int) -> dict[int, Scalar]:
-    """The closed-form coefficients of relation `check` at n, by offset."""
+def _closed_forms(check: str) -> dict[int, Scalar]:
+    """The closed-form coefficients of relation `check`, symbolic in u, by offset."""
     s = coeff_suite()
     if check == "sq-relation":
-        forms = {0: s.alpha_n, -1: s.c_n}
-    else:
-        forms = {1: s.c_n1, 0: s.c_n2, -1: s.c_n3, -2: s.c_n4}
-    return {o: c.instantiate_n(n) for o, c in forms.items() if n + o >= 0}
+        return {0: s.alpha_n, -1: s.c_n}
+    return {1: s.c_n1, 0: s.c_n2, -1: s.c_n3, -2: s.c_n4}
+
+
+def _expected(check: str, n: int) -> dict[int, Scalar]:
+    """The closed-form coefficients of relation `check` at n, by offset."""
+    return {o: c.instantiate_n(n) for o, c in _closed_forms(check).items() if n + o >= 0}
 
 
 # t^2 - t^-2 and 1 as {t-exp: int}

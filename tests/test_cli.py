@@ -413,6 +413,7 @@ def test_wrong_closed_form_fails_numeric_and_proposition(capsys, monkeypatch):
     # t added to c_{5,4}, the D_q offset -2 at n = 5: the witness compares
     # the closed forms with the lattice, the sweep with the kernel's rows
     expected = qaw.structure._expected
+    closed_values = qaw.numeric._closed_values
 
     def wrong(check, n):
         ex = expected(check, n)
@@ -420,7 +421,13 @@ def test_wrong_closed_form_fails_numeric_and_proposition(capsys, monkeypatch):
             ex = {**ex, -2: ex[-2] + T}
         return ex
 
-    monkeypatch.setattr(qaw.numeric, "_expected", wrong)
+    def wrong_values(q0, nmax, split):
+        # the same t in floats: t = q0^(1/4)
+        values = closed_values(q0, nmax, split)
+        values[5][1][-2] += q0 ** 0.25
+        return values
+
+    monkeypatch.setattr(qaw.numeric, "_closed_values", wrong_values)
     code, out, err = run(capsys, "verify", "numeric", "--format", "json")
     assert code == 1
     assert "Traceback" not in err

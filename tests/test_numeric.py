@@ -1,15 +1,20 @@
 """Float lattice pipeline against the exact operators and the closed forms."""
 
 import random
+from collections import Counter
 
 import pytest
 
 import qaw.awcore
+import qaw.numeric
 from qaw import structure
 from qaw.awcore import OperatorContext, context, u2
 from qaw.families import OPSFamily
 from qaw.numeric import (
     NumericConfig,
+    _closed_values,
+    _lattice_pair,
+    _split_closed_forms,
     eval_poly,
     lattice_dq,
     lattice_sq,
@@ -151,3 +156,49 @@ def test_breakdown_is_named_at_its_q_sample():
     rec = numeric_crosscheck(cfg, 2).record()
     assert rec["status"] == "fail"
     assert "q=1e-300" in rec["worst"]
+
+
+@pytest.mark.parametrize("q0", [0.05, 0.3, 0.7, 0.95])
+def test_closed_values_match_the_per_n_route(q0):
+    # the u-split values against each closed form instantiated at n and
+    # then evaluated, the route they replace.  Both routes sum floats, so
+    # they agree relative to the size of the terms that they add, not of
+    # the sum: at n = 0 the D_q offset 0 is exactly 0, and at q = 0.95
+    # c_{2,4} is 1e-6 of its terms, where the per-n route is off by 4e-9
+    # relative and the split by 1e-10 (against 60-digit mpmath)
+    values = _closed_values(q0, 40, _split_closed_forms())
+    for n, pair in enumerate(values):
+        for check, got in zip(("sq-relation", "dq-relation"), pair):
+            forms = structure._closed_forms(check)
+            want = structure._expected(check, n)
+            assert set(got) == set(want)
+            for o, c in want.items():
+                size = sum(
+                    abs(float(v)) * q0 ** (0.25 * (i + 2 * n * j))
+                    for i, j, v in forms[o].laurent_terms()
+                )
+                assert abs(got[o] - c.evaluate(q0)) <= 1e-13 * size
+
+
+def test_recurrence_runs_once_per_distinct_point(monkeypatch):
+    recurrence = qaw.numeric._recurrence
+    points = []
+
+    def spy(rec, q0):
+        members = recurrence(rec, q0)
+
+        def counted(x0):
+            points.append(x0)
+            return members(x0)
+
+        return counted
+
+    monkeypatch.setattr(qaw.numeric, "_recurrence", spy)
+    cfg = NumericConfig()
+    assert numeric_crosscheck(cfg, 15).status == "pass"
+    want = Counter()
+    for q0 in cfg.q_samples:
+        for x0 in cfg.x_samples:
+            want.update({x0, *_lattice_pair(q0, x0)})
+    assert Counter(points) == want
+    assert len(points) == 3 * len(cfg.q_samples) * len(cfg.x_samples)
