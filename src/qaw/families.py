@@ -33,7 +33,6 @@ from their terminating 4phi3 sum, which ends with one exact division.
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, NamedTuple
 
 from .awcore import ALPHA
@@ -49,8 +48,7 @@ class OPSFamily:
 
     The family is held once, on the z side, where the operators act:
     `zpoly` caches the symmetric Laurent form of each p_n, and `poly`
-    converts it to x on request.  Cache growth is guarded by a lock so
-    concurrent readers never see a partially built entry.
+    converts it to x on request.
     """
 
     def __init__(
@@ -60,7 +58,6 @@ class OPSFamily:
     ):
         self.rec_a = rec_a
         self.rec_b = rec_b
-        self._lock = threading.Lock()
         self._zs: list[ZLaurent] = [ZLaurent({0: ONE})]
 
     def poly(self, n: int) -> XPoly:
@@ -77,22 +74,21 @@ class OPSFamily:
         """
         if n < 0:
             return ZLaurent()
-        with self._lock:
-            zs = self._zs
-            while len(zs) <= n:
-                m = len(zs) - 1
-                cur = zs[m]._t
-                prev = zs[m - 1]._t if m else {}
-                a = self.rec_a(m)
-                b = self.rec_b(m) if m else ZERO
-                out: dict[int, Scalar] = {}
-                for k in range(m + 2):
-                    v = (cur.get(k - 1, ZERO) + cur.get(k + 1, ZERO)).scale(_HALF)
-                    v = v - a * cur.get(k, ZERO) - b * prev.get(k, ZERO)
-                    if v:
-                        out[k] = out[-k] = v
-                zs.append(ZLaurent._raw(out))
-            return zs[n]
+        zs = self._zs
+        while len(zs) <= n:
+            m = len(zs) - 1
+            cur = zs[m]._t
+            prev = zs[m - 1]._t if m else {}
+            a = self.rec_a(m)
+            b = self.rec_b(m) if m else ZERO
+            out: dict[int, Scalar] = {}
+            for k in range(m + 2):
+                v = (cur.get(k - 1, ZERO) + cur.get(k + 1, ZERO)).scale(_HALF)
+                v = v - a * cur.get(k, ZERO) - b * prev.get(k, ZERO)
+                if v:
+                    out[k] = out[-k] = v
+            zs.append(ZLaurent._raw(out))
+        return zs[n]
 
 
 class _FamilyFields(NamedTuple):
@@ -217,19 +213,16 @@ def _build_symbolic_suite() -> CoeffSuite:
 
 
 _SYMBOLIC_SUITE: CoeffSuite | None = None
-_SUITE_LOCK = threading.Lock()
 
 
 def coeff_suite(n: int | None = None) -> CoeffSuite:
     """The coefficient suite, symbolic in u, or instantiated at n if given."""
     global _SYMBOLIC_SUITE
-    with _SUITE_LOCK:
-        if _SYMBOLIC_SUITE is None:
-            _SYMBOLIC_SUITE = _build_symbolic_suite()
-        suite = _SYMBOLIC_SUITE
+    if _SYMBOLIC_SUITE is None:
+        _SYMBOLIC_SUITE = _build_symbolic_suite()
     if n is None:
-        return suite
-    return CoeffSuite._make(m.instantiate_n(n) for m in suite)
+        return _SYMBOLIC_SUITE
+    return CoeffSuite._make(m.instantiate_n(n) for m in _SYMBOLIC_SUITE)
 
 
 def aw_hyp_poly(

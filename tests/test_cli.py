@@ -190,6 +190,13 @@ def test_a_record_without_a_verdict_fails(capsys, monkeypatch):
     assert run(capsys, "verify", "proof")[:2] == (1, "check=x\n")
 
 
+def test_an_unchecked_relation_record_fails(capsys, monkeypatch):
+    # structure_relation compares against nothing: its record is no pass
+    rec = qaw.structure_relation(qaw.counterexample_family(), 2).record()
+    monkeypatch.setattr(qaw.cli, "_proof", lambda args: iter([rec]))
+    assert run(capsys, "verify", "proof")[0] == 1
+
+
 def test_verify_proposition_base_case(capsys):
     code, out, _ = run(capsys, "verify", "proposition", "--n-max", "0", "--format", "json")
     assert code == 0
