@@ -1,7 +1,9 @@
-"""The `verify` record streams against committed copies, byte for byte.
+"""The `verify` and `expand` record streams against committed copies, byte for byte.
 
-Each file under tests/data is the output of `qaw verify <target> ...
---format json` with the arguments listed below.  Any change that moves a
+Each verify_*.jsonl file under tests/data is the output of `qaw verify
+<target> ... --format json` with the arguments listed below, and
+expand.jsonl the outputs of `qaw expand ... --format json` for
+`EXPAND_CASES`, one after the other.  Any change that moves a
 verdict, a bandwidth, a residual or a float of `numeric` shows up here
 as a diff; rewrite a file only for an intended change of output.  The
 `numeric` stream pins IEEE-754 doubles as CPython computes them with the
@@ -23,11 +25,33 @@ STREAMS = {
     "verify_numeric.jsonl": ("numeric",),
 }
 
+# (--degree-poly, extra arguments), in the order of expand.jsonl
+EXPAND_CASES = (
+    ("x^2 - t*x + 1", ("--n", "3")),
+    ("x^10", ()),
+    ("(x+t+u)^8", ()),
+    ("3*x^7-t*x^2+u/2", ()),
+    ("(t^2-1)/(t-1)*x", ()),
+    ("0", ("--n", "2")),
+)
+
+
+def _golden(name):
+    with open(os.path.join(DATA, name), encoding="utf-8", newline="") as fh:
+        return fh.read()
+
 
 @pytest.mark.parametrize("name", list(STREAMS))
 def test_stream_is_unchanged(name, capsys):
     code = main(["verify", *STREAMS[name], "--format", "json"])
     out, _ = capsys.readouterr()
     assert code == 0
-    with open(os.path.join(DATA, name), encoding="utf-8", newline="") as fh:
-        assert out == fh.read()
+    assert out == _golden(name)
+
+
+def test_expand_stream_is_unchanged(capsys):
+    out = []
+    for text, extra in EXPAND_CASES:
+        assert main(["expand", "--degree-poly", text, *extra, "--format", "json"]) == 0
+        out.append(capsys.readouterr().out)
+    assert "".join(out) == _golden("expand.jsonl")
