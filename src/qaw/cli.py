@@ -108,18 +108,21 @@ def _oracle(args):
             }
 
 
+# the highest degree that `qaw expand` takes; README times its slowest input
+MAX_EXPAND_DEGREE = 24
+
+
 def _cmd_expand(args) -> int:
     f = XPoly.parse(args.degree_poly)
-    coeffs = expand_in_basis(f, counterexample_family())
-    if args.n is not None:
-        if args.n < 0:
-            raise ValueError("--n must be nonnegative")
-        if args.n + 1 < len(coeffs):
-            raise ValueError(
-                "expansion reaches index %d, beyond --n %d"
-                % (len(coeffs) - 1, args.n)
-            )
-        coeffs = coeffs + [ZERO] * (args.n + 1 - len(coeffs))
+    if f.degree > MAX_EXPAND_DEGREE:
+        raise ValueError("degree %d is beyond the bound %d" % (f.degree, MAX_EXPAND_DEGREE))
+    if args.n is not None and args.n < 0:
+        raise ValueError("--n must be nonnegative")
+    # the basis is monic, so the expansion reaches index deg f exactly
+    pad = 0 if args.n is None else args.n + 1 - len(f.coeffs())
+    if pad < 0:
+        raise ValueError("expansion reaches index %d, beyond --n %d" % (f.degree, args.n))
+    coeffs = expand_in_basis(f, counterexample_family()) + [ZERO] * pad
     for k, c in enumerate(coeffs):
         _emit({"index": k, "coefficient": render_scalar(c)}, args.format)
     return 0

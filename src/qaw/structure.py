@@ -90,9 +90,9 @@ width w common to the whole sweep and B >= max |coeff f|:
   row is a `_lincomb` of z-rows with the integers of E_m, so it widens
   the same way.  `_unpack` splits a row's biased digits slot by slot.
 
-`expand_in_basis` expands any x-polynomial over Q[t^+-1, u^+-1] instead, on
-the family's cached z-forms Z_k.  Z_k has top coefficient 2^-k, so each
-step of its leading-term elimination is one scaled subtraction.
+`expand_in_basis` expands any x-polynomial over Q[t^+-1, u^+-1] in the
+basis of any family as f(J) e_0, J the Jacobi matrix of the recurrence
+(W. Gautschi, Orthogonal Polynomials, 2004): Horner's rule on J.
 """
 
 from __future__ import annotations
@@ -101,8 +101,8 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .awcore import u2
 from .families import OPSFamily, coeff_suite, counterexample_family
-from .scalar import Rat, Scalar, ZERO, _padd, _pmul, _psub
-from .zsym import XPoly, ZLaurent, _e_table, x_to_z
+from .scalar import Rat, Scalar, ZERO, _padd, _pmul
+from .zsym import XPoly, _e_table
 
 
 class StructureReport(NamedTuple):
@@ -137,29 +137,31 @@ class StructureReport(NamedTuple):
         return rec
 
 
+# The most work of `expand_in_basis`: v's terms summed over its steps, each
+# counted once per 64 bits of its numerator and denominator (~35 us a unit)
+MAX_EXPAND_WORK = 300_000
+
+
 def expand_in_basis(f: XPoly, fam: OPSFamily) -> list[Scalar]:
-    """Coefficients e_0 .. e_deg(f) with f = sum e_k p_k, exact."""
-    if not f:
-        return []
-    ex = _expand_sym(x_to_z(f), fam)
-    return [ex.get(k, ZERO) for k in range(f.degree + 1)]
+    """Coefficients e_0 .. e_deg(f) with f = sum e_k p_k, exact.
 
-
-def _expand_sym(g: ZLaurent, fam: OPSFamily) -> dict[int, Scalar]:
-    """{k: e_k} with g = sum e_k zpoly(k), nonzero only.
-
-    g and every Z_k are symmetric under z -> z^-1, so, as in
-    `_expand_int`, only the z^m, m >= 0, half is eliminated.
+    Horner's rule on the Jacobi matrix J of x p_k = p_{k+1} + a_k p_k +
+    b_k p_{k-1}: v <- J v + f_i e_0 for i = deg f .. 0, where (J v)_k =
+    v_{k-1} + a_k v_k + b_{k+1} v_{k+1}.  ValueError past MAX_EXPAND_WORK.
     """
-    work = {m: c for m, c in g._t.items() if m >= 0}
-    out: dict[int, Scalar] = {}
-    while work:
-        k = max(work)
-        # Z_k is monic over x, so its z^k coefficient is 2^-k
-        e = out[k] = work.pop(k).scale(1 << k)
-        zk = fam.zpoly(k)._t
-        work = _psub(work, {m: e * v for m, v in zk.items() if 0 <= m < k})
-    return out
+    cs = f.coeffs()
+    a = [fam.rec_a(k) for k in range(len(cs))]
+    b = [ZERO] + [fam.rec_b(k) for k in range(1, len(cs))] + [ZERO]
+    v, work = [], 0
+    for c in reversed(cs):
+        p = [ZERO, *v, ZERO, ZERO]  # p[k] = v_{k-1}
+        v = [p[k] + a[k] * p[k + 1] + b[k + 1] * p[k + 2] for k in range(len(v) + 1)]
+        v[0] += c
+        rs = [r for e in v for r in e._t.values()]
+        work += sum(1 + (r.numerator.bit_length() + r.denominator.bit_length()) // 64 for r in rs)
+        if work > MAX_EXPAND_WORK:
+            raise ValueError("expansion beyond %d units of work" % MAX_EXPAND_WORK)
+    return v
 
 
 def _offsets_report(

@@ -449,3 +449,31 @@ def test_wrong_closed_form_fails_numeric_and_proposition(capsys, monkeypatch):
     assert [(r["check"], r.get("n")) for r in recs if r["status"] == "fail"] == [
         ("dq-relation", 5)
     ]
+
+
+def refuse_to_expand(*args):
+    raise AssertionError("expand_in_basis was called")
+
+
+def test_expand_degree_bound(capsys, monkeypatch):
+    # the first degree past the bound is refused before any product
+    monkeypatch.setattr(qaw.cli, "expand_in_basis", refuse_to_expand)
+    deg = qaw.cli.MAX_EXPAND_DEGREE + 1
+    for text in ("x^%d" % deg, "(x+t+u)^%d - 1" % deg):
+        code, out, err = run(capsys, "expand", "--degree-poly", text)
+        assert (code, out) == (2, "")
+        assert err == "error: degree %d is beyond the bound %d\n" % (deg, deg - 1)
+
+
+def test_expand_n_checked_before_expanding(capsys, monkeypatch):
+    monkeypatch.setattr(qaw.cli, "expand_in_basis", refuse_to_expand)
+    for n, msg in (("-1", "--n must be nonnegative"), ("2", "beyond --n 2")):
+        code, out, err = run(capsys, "expand", "--degree-poly", "x^3", "--n", n)
+        assert (code, out) == (2, "")
+        assert msg in err
+
+
+def test_expand_work_bound(capsys, monkeypatch):
+    monkeypatch.setattr(qaw.structure, "MAX_EXPAND_WORK", 10)
+    code, out, err = run(capsys, "expand", "--degree-poly", "x^5")
+    assert (code, out, err) == (2, "", "error: expansion beyond 10 units of work\n")

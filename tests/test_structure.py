@@ -20,7 +20,6 @@ from qaw.scalar import ONE, Scalar, T, U, ZERO, rational, tpow
 from qaw.structure import (
     _Widen,
     _expand_int,
-    _expand_sym,
     _expected,
     _int_recurrence,
     _lincomb,
@@ -32,7 +31,7 @@ from qaw.structure import (
     iter_proposition_reports,
     structure_relation,
 )
-from qaw.zsym import XPoly, x_to_z
+from qaw.zsym import XPoly
 
 X = XPoly.x()
 CTX = context()
@@ -48,11 +47,12 @@ def bumped_family(bump):
     return OPSFamily(base.rec_a, rec_b)
 
 
-def resum(coeffs, fam):
-    out = XPoly.zero()
-    for k, c in enumerate(coeffs):
-        out = out + fam.poly(k).scale(c)
-    return out
+def x_side_expansion(check, n, fam, ctx):
+    """{k: e_k}, nonzero only, of S_q p_n or U_2 D_q p_n, expanded from its
+    x-form by `expand_in_basis`: the Q(t, u) reference for the kernel."""
+    pn = fam.poly(n)
+    g = ctx.sq(pn) if check == "sq-relation" else u2() * ctx.dq(pn)
+    return {k: c for k, c in enumerate(expand_in_basis(g, fam)) if c}
 
 
 def test_expand_examples():
@@ -63,11 +63,32 @@ def test_expand_examples():
 
 
 def test_expand_roundtrip():
-    fam = counterexample_family()
-    rng = random.Random(41)
-    for _ in range(15):
-        f = XPoly([rational(rng.randint(-9, 9)) for _ in range(rng.randint(1, 11))])
-        assert resum(expand_in_basis(f, fam), fam) == f
+    # resumming with fam.poly, the z-side recurrence, undoes the Jacobi
+    # loop, for rational coefficients and for Laurent ones in t and u, on
+    # the counterexample, (1, t, -t | t^2) and a_n = 2^70 past a 64-bit slot
+    families = (
+        counterexample_family(),
+        dual_qhahn_family(FamilyParams(ONE, tpow(1), -tpow(1), tpow(2))),
+        OPSFamily(lambda n: rational(2**70), lambda n: ONE),
+    )
+    monomials = (ONE, T, U, tpow(-3), T * U, U ** -2)
+    for fam in families:
+        ps = [fam.poly(k) for k in range(11)]
+        rng = random.Random(41)
+        cases = [
+            XPoly([rational(rng.randint(-9, 9)) for _ in range(rng.randint(1, 11))])
+            for _ in range(15)
+        ]
+        cases += [
+            XPoly(
+                sum((rational(rng.randint(-9, 9), rng.randint(1, 5)) * m for m in monomials), ZERO)
+                for _ in range(rng.randint(1, 6))
+            )
+            for _ in range(6)
+        ]
+        for f in cases:
+            coeffs = expand_in_basis(f, fam)
+            assert sum((p.scale(c) for p, c in zip(ps, coeffs)), XPoly.zero()) == f
 
 
 def test_structure_relation_n0():
@@ -150,20 +171,15 @@ def test_verify_proposition_small_sweep():
 
 
 def test_sweep_matches_scalar_reference():
-    # the integer sweep against the Q(t, u) operator pipeline
+    # the integer sweep against the Q(t, u) operator pipeline on the x side
     fam = counterexample_family()
     ctx = context()
-    u2z = x_to_z(u2())
     reports = list(iter_proposition_reports(10, fam))
     assert len(reports) == 22
     for rep in reports:
-        zn = fam.zpoly(rep.n)
-        if rep.check == "sq-relation":
-            g = ctx.sq_sym(zn)
-        else:
-            g = u2z * ctx.dq_sym(zn)
+        ex = x_side_expansion(rep.check, rep.n, fam, ctx)
         expected = _expected(rep.check, rep.n)
-        ref = _offsets_report(rep.check, rep.n, _expand_sym(g, fam), expected)
+        ref = _offsets_report(rep.check, rep.n, ex, expected)
         assert rep.coefficients == ref.coefficients
         assert rep.bandwidth == ref.bandwidth
         assert rep.status == ref.status
@@ -246,7 +262,7 @@ def test_integral_family_never_takes_the_qtu_route(monkeypatch):
     def refuse(*args):
         raise AssertionError("Q(t, u) route for an integral family")
 
-    monkeypatch.setattr(structure, "_expand_sym", refuse)
+    monkeypatch.setattr(structure, "expand_in_basis", refuse)
     monkeypatch.setattr(OperatorContext, "dq_sym", refuse)
     rep = structure_relation(fam, 8)
     assert rep.bandwidth == (2, 1) and rep.status == "unchecked"
@@ -280,10 +296,9 @@ def test_neighbourhood_bandwidths(label):
 def assert_dq_matches_qtu_route(fam, nmax):
     """The kernel's D_q expansions for n <= nmax against the Q(t, u) reference."""
     ctx = context()
-    u2z = x_to_z(u2())
     for rep in iter_proposition_reports(nmax, fam):
         if rep.check == "dq-relation":
-            ref = _expand_sym(u2z * ctx.dq_sym(fam.zpoly(rep.n)), fam)
+            ref = x_side_expansion(rep.check, rep.n, fam, ctx)
             assert rep.coefficients == {k - rep.n: v for k, v in ref.items()}
 
 
@@ -444,13 +459,10 @@ def test_wide_recurrence_coefficient_matches_qtu_route():
     # 2 a_0 = 2^71 is past the default 64-bit slot before any elimination
     fam = OPSFamily(lambda n: rational(2**70), lambda n: ONE)
     ctx = context()
-    u2z = x_to_z(u2())
     reps = list(iter_proposition_reports(4, fam))
     assert len(reps) == 10
     for rep in reps:
-        zn = fam.zpoly(rep.n)
-        g = ctx.sq_sym(zn) if rep.check == "sq-relation" else u2z * ctx.dq_sym(zn)
-        ref = _expand_sym(g, fam)
+        ref = x_side_expansion(rep.check, rep.n, fam, ctx)
         assert rep.coefficients == {k - rep.n: v for k, v in ref.items()}
 
 
@@ -522,3 +534,15 @@ def test_offset_m2_witness():
     c1, c2 = s.c_n.instantiate_n(1), s.c_n.instantiate_n(2)
     C1, C2 = s.C_n.instantiate_n(1), s.C_n.instantiate_n(2)
     assert got.instantiate_n(2) == c1 * C2 - alpha * c2 * C1
+
+
+def test_expand_work_bound(monkeypatch):
+    # a term counts once per 64 bits of its numerator and denominator
+    fam = counterexample_family()
+    monkeypatch.setattr(structure, "MAX_EXPAND_WORK", 10)
+    ten_terms = sum((tpow(i) for i in range(10)), ZERO)
+    for c in (ten_terms, rational(2**600), rational(1, 2**600)):
+        assert expand_in_basis(XPoly([c]), fam) == [c]
+    for c in (ten_terms + tpow(10), rational(2**640), rational(1, 2**640)):
+        with pytest.raises(ValueError, match="beyond 10 units of work"):
+            expand_in_basis(XPoly([c]), fam)
