@@ -69,14 +69,25 @@ width w common to the whole sweep and B >= max |coeff f|:
   the same integer as P +-= P_row << (slots * w + j), one shift and
   one add or subtract.  No row is kept, unpacked or tested for zero
   unless B < 2^(w-1).  A back-substituted row E_m has the bound
-  B(G[m]) + sum ||E_k||_1 B(Q_k[m]).
-* Widening.  When a bound would reach 2^(w-1), the step in progress
-  is abandoned, every stored Q_k is rebuilt from the recurrence at
-  width 2w, in the same list, and the step is redone; `_Kernel` owns
-  the rows and this loop.  The bounds do not depend on w, so the
-  rebuild fits.  Rows never wrap, and the sweep never refuses a family
-  for its coefficient size.  The only rows the sweep ever unpacks are
-  the nonzero E_k.
+  B(G[m]) + sum ||E_k||_1 B(Q_k[m]).  A row of Q_k, which is stored
+  and read by every later step, takes instead the least of that bound
+  and its digit-read bound (`_digit_bound`): if the top byte of slot
+  s of P's biased digits is 128 + k, then c_s lies in
+  [k 2^(w-8), (k+1) 2^(w-8)), so max |c_s| <= (max |k| + 1) 2^(w-8).
+  The triangle bound compounds at every recurrence step, to 110 bits
+  where Q_40's largest coefficient has 69; the digit-read bound does
+  not compound.
+* Widening.  When a bound b would reach 2^(w-1), the step in progress
+  is abandoned, the width grows to the least multiple of 8 above w
+  that holds b with _HEADROOM bits to spare, every stored row is
+  repacked to it in place, one Q_k at a time, and the step is redone;
+  `_Kernel` owns the rows and this loop.  Repacking (`_repack`)
+  spreads each biased digit into its wider slot and takes the old bias
+  off once, with no arithmetic on the coefficients; a repacked row
+  keeps its coefficients and its bound.  The redone step therefore
+  meets the same bound b, which now fits.  Rows never wrap, and the
+  sweep never refuses a family for its coefficient size.  The only
+  rows the sweep ever unpacks are the nonzero E_k.
 * Stride.  g = 2 when every exponent of every 2 a_m is odd and every
   exponent of 4 b_m is even, else 1.  Under that rule row m of Q_n
   has only exponents = n + m (mod 2), by induction on the recurrence:
@@ -222,9 +233,12 @@ _T2_DIFF = {2: 1, -2: -1}
 _ONE_T = {0: 1}
 
 # The slot width, in bits, that every integer sweep starts from; it
-# doubles whenever a bound needs it.  Any multiple of 8 gives the same
-# results, which the tests check at 8.
-_SLOT_BITS = 64
+# grows to what a failing bound needs, and the stored rows are repacked.
+# Any multiple of 8 gives the same results, which the tests check at 8;
+# 32, with 8 bits to spare at each widening, timed best on the n <= 40
+# sweep among starts of 8 to 64 bits and spares of 0 to 16.
+_SLOT_BITS = 32
+_HEADROOM = 8
 
 # A packed row (P, o, B) stands for t^o f(t^g), with P = f(2^w) and
 # B >= max |coeff f|; it is zero exactly when P == 0.
@@ -233,7 +247,11 @@ _ZERO_ROW: Row = (0, 0, 0)
 
 
 class _Widen(Exception):
-    """A bound reached 2^(w - 1): the step is redone at twice the width."""
+    """A bound b reached 2^(w - 1): the step is redone at a width that holds b."""
+
+    def __init__(self, bound: int):
+        super().__init__(bound)
+        self.bound = bound
 
 
 def _int_laurent(s: Scalar, scale: int) -> dict[int, int]:
@@ -291,6 +309,31 @@ def _unpack(row: Row, w: int, g: int) -> dict[int, int]:
     return out
 
 
+def _digit_bound(row: Row, w: int) -> int:
+    """min(B, (max_s |T_s - 128| + 1) 2^(w-8)) for a row whose bound B is
+    below 2^(w - 1), T_s the top byte of slot s's biased digit.
+
+    T_s = 128 + k puts c_s in [k 2^(w-8), (k+1) 2^(w-8)).
+    """
+    p, _, b = row
+    wb = w // 8
+    top = _digits(p, w)[wb - 1 :: wb]
+    return min(b, (max(max(top) - 128, 128 - min(top)) + 1) << (w - 8))
+
+
+def _repack(row: Row, w: int, w2: int) -> Row:
+    """The row at slot width w2 > w, with its offset and bound: each biased
+    digit spread into its wider slot, then the old bias taken off once."""
+    p, lo, b = row
+    data, wb, wb2 = _digits(p, w), w // 8, w2 // 8
+    slots = len(data) // wb
+    wide = bytearray(slots * wb2)
+    for j in range(wb):
+        wide[j::wb2] = data[j::wb]
+    bias = (1 << (w - 1)).to_bytes(wb2, "little") * slots
+    return int.from_bytes(wide, "little") - int.from_bytes(bias, "little"), lo, b
+
+
 def _lincomb(terms: list[tuple[dict[int, int], Row]], w: int, g: int) -> Row:
     """The sum of e * row over the (e, row) pairs, each e a small {t-exp: int}.
 
@@ -305,7 +348,7 @@ def _lincomb(terms: list[tuple[dict[int, int], Row]], w: int, g: int) -> Row:
         return _ZERO_ROW
     b = sum(sum(map(abs, e.values())) * r[2] for e, r in live)
     if b >> (w - 1):
-        raise _Widen
+        raise _Widen(b)
     lo = min(r[1] + min(e) for e, r in live)
     acc = 0
     for e, (p, o, _) in live:
@@ -335,13 +378,14 @@ def _zmonic_next(qs: list[list[Row]], a2: dict, b4: dict, w: int, g: int) -> lis
     """Q_{k+1} = (z + z^-1 - 2 a_k) Q_k - 4 b_k Q_{k-1}, k = len(qs) - 1.
 
     Each Q_k is kept as its rows of z^m, m = 0..k; its z^-1 row is its
-    z^1 row, by symmetry.
+    z^1 row, by symmetry.  Each row takes its digit-read bound, since it
+    is stored and read by every later step.
     """
     cur = qs[-1]
     prev = qs[-2] if len(qs) > 1 else []
     na = {x: -c for x, c in a2.items()}
     nb = {x: -c for x, c in b4.items()}
-    return [
+    rows = [
         _lincomb(
             [
                 (_ONE_T, _row(cur, abs(m - 1))),
@@ -354,42 +398,40 @@ def _zmonic_next(qs: list[list[Row]], a2: dict, b4: dict, w: int, g: int) -> lis
         )
         for m in range(len(cur) + 1)
     ]
-
-
-def _zmonic_rows(
-    rec: list[tuple[dict, dict]], count: int, w: int, g: int
-) -> list[list[Row]]:
-    """Q_0 .. Q_(count-1) at slot width w."""
-    qs = [[(1, 0, 1)]]
-    while len(qs) < count:
-        qs.append(_zmonic_next(qs, *rec[len(qs) - 1], w, g))
-    return qs
+    return [(r[0], r[1], _digit_bound(r, w)) if r[0] else r for r in rows]
 
 
 class _Kernel:
     """The z-rows `qs` of Q_0, Q_1, ... of an integral family, at stride g
-    and a slot width w that doubles whenever a bound needs it."""
+    and a slot width w that grows to what a failing bound needs."""
 
     def __init__(self, fam: OPSFamily, nmax: int):
         self.rec = _int_recurrence(fam, nmax)
         self.g, self.w = _stride(self.rec), _SLOT_BITS
-        self.qs = _zmonic_rows(self.rec, 1, self.w, self.g)
+        self.qs: list[list[Row]] = [[(1, 0, 1)]]
 
     def fit(self, step: Callable):
-        """step(qs, w, g), redone after each doubling, which rebuilds qs in place."""
+        """step(qs, w, g), redone after each widening, which repacks qs in place.
+
+        The new width is the least multiple of 8 above w that holds the
+        failing bound with _HEADROOM bits to spare.  A repacked row keeps
+        its bound, so the redone step meets the same bound, which fits.
+        """
         while True:
             try:
                 return step(self.qs, self.w, self.g)
-            except _Widen:
-                self.w *= 2
-                self.qs[:] = _zmonic_rows(self.rec, len(self.qs), self.w, self.g)
+            except _Widen as e:
+                need = e.bound.bit_length() + 1 + _HEADROOM
+                w = max(self.w + 8, -(-need // 8) * 8)
+                for q in self.qs:
+                    q[:] = [_repack(r, self.w, w) for r in q]
+                self.w = w
 
     def extend(self, count: int) -> None:
         """Store Q_k for every k < count."""
         while len(self.qs) < count:
             rec = self.rec[len(self.qs) - 1]
             self.qs.append(self.fit(lambda qs, w, g: _zmonic_next(qs, *rec, w, g)))
-
 
 def _sq_rows(q: list[Row], w: int, g: int) -> dict[int, Row]:
     """Q_n(t^2 z) + Q_n(t^-2 z), i.e. 2^(n+1) S_q P_n, by its m >= 0 rows."""
@@ -492,9 +534,10 @@ def _x_rows(z: dict[int, Row], es: list[list[int]], w: int, g: int) -> list[Row]
 def _poly_xrows(n: int, fam: OPSFamily) -> XPoly:
     """p_n alone, Q_n / 2^n, read from its x-coefficient rows, for `qaw show`.
 
-    The rows are `_x_rows` of Q_n's z-rows, at one slot width that
-    doubles until no bound reaches it.  ValueError unless the family's
-    2 a_n and 4 b_n are integral, u-free Laurent polynomials in t.
+    The rows are `_x_rows` of Q_n's z-rows, at one slot width to which
+    the stored rows are repacked until no bound reaches it.  ValueError
+    unless the family's 2 a_n and 4 b_n are integral, u-free Laurent
+    polynomials in t.
     """
     kernel = _Kernel(fam, n - 1)
     kernel.extend(n + 1)

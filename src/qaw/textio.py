@@ -46,15 +46,18 @@ _DIGITS = set("0123456789")
 _RANGE_MSG = "exponent beyond the supported range |e| <= %d" % MAX_EXPONENT
 _RING_MSG = "result is not a Laurent polynomial in t and u"
 
-# The most terms that a power v^e in the parser may hold, predicted
-# before it is computed.  v^e is stored as S = deg v * |e| + 1 slots, one
-# Scalar per power of x; N bounds the monomials x^i t^j u^k of all slots
-# together, from `_monomial_count`, and the prediction is max(S, N) + S,
-# the terms and one entry per slot.  A power beyond it is refused at the
-# "^".  Powers of t-u monomials and of rational constants predict 2 and
-# are bounded by MAX_EXPONENT instead.
+# The most terms that a power v^e or a product v * w in the parser may
+# hold, predicted before it is computed.  v^e is stored as
+# S = deg v * |e| + 1 slots, one Scalar per power of x; N bounds the
+# monomials x^i t^j u^k of all slots together, from `_monomial_count`,
+# and the prediction is max(S, N) + S, the terms and one entry per slot.
+# v * w is predicted the same way, with S = deg v + deg w + 1 and N the
+# least of |v| |w| and the box of its exponents.  A value beyond it is
+# refused at its "^" or "*".  Powers of t-u monomials and of rational
+# constants predict 2 and are bounded by MAX_EXPONENT instead.
 MAX_POWER_TERMS = 1 << 10
 _SIZE_MSG = "power beyond the supported range of %d terms" % MAX_POWER_TERMS
+_PRODUCT_MSG = "product beyond the supported range of %d terms" % MAX_POWER_TERMS
 
 # The most bits that the numerator or the denominator of a coefficient in
 # parsed text may hold.  2^14284 < 10^4300, the most digits that int()
@@ -63,21 +66,41 @@ MAX_COEFF_BITS = 14284
 _BITS_MSG = "coefficient beyond the supported range of %d bits" % MAX_COEFF_BITS
 
 
+def _exps(v: XPoly) -> set[tuple[int, int, int]]:
+    """The exponents (i, j, k) of the monomials x^i t^j u^k of v."""
+    return {(i, j, k) for i, c in enumerate(v.coeffs()) for j, k, _ in c.laurent_terms()}
+
+
+def _spans(exps: set[tuple[int, ...]]) -> list[int]:
+    """max - min of each exponent over exps, axis by axis."""
+    return [max(axis) - min(axis) for axis in zip(*exps)]
+
+
 def _monomial_count(exps: set[tuple[int, ...]], e: int) -> int:
     """A bound on the monomials of the e-th power of a sum over exps: the
     e-element multisets of exps, and at most the box of e times its span."""
-    box = 1
-    for axis in zip(*exps):
-        box *= (max(axis) - min(axis)) * e + 1
+    box = math.prod(s * e + 1 for s in _spans(exps))
     return min(math.comb(len(exps) + e - 1, e), box)
+
+
+def _shape(v: XPoly, e: int) -> tuple[int, int, list[int]]:
+    """(degree, a bound on the monomials, exponent spans) of v^e, v nonzero."""
+    exps, e = _exps(v), abs(e)
+    return v.degree * e, _monomial_count(exps, e), [s * e for s in _spans(exps)]
 
 
 def _power_size(v: XPoly, e: int) -> int:
     """The predicted number of terms of v^e, v nonzero; see MAX_POWER_TERMS."""
-    terms = {(i, j, k) for i, c in enumerate(v.coeffs()) for j, k, _ in c.laurent_terms()}
-    e = abs(e)
-    slots = v.degree * e + 1
-    return max(slots, _monomial_count(terms, e)) + slots
+    degree, count, _ = _shape(v, e)
+    return max(degree + 1, count) + degree + 1
+
+
+def _product_size(a: tuple[int, int, list[int]], b: tuple[int, int, list[int]]) -> int:
+    """The predicted number of terms of the product of two `_shape`s; see
+    MAX_POWER_TERMS."""
+    box = math.prod(s + r + 1 for s, r in zip(a[2], b[2]))
+    slots = a[0] + b[0] + 1
+    return max(slots, min(a[1] * b[1], box)) + slots
 
 
 def _power_bits(v: XPoly, e: int) -> float:
@@ -119,6 +142,16 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             raise ParseError("unexpected character %r" % ch, i)
     toks.append(("end", "", n))
     return toks
+
+
+class _Factor(NamedTuple):
+    """base^e, negated if neg: a power is formed only once a product with
+    it has been predicted."""
+
+    base: XPoly
+    e: int = 1
+    pos: int = 0  # the "^"
+    neg: bool = False
 
 
 class _Parser:
@@ -176,25 +209,30 @@ class _Parser:
         v = self.factor()
         while True:
             kind, val, pos = self.peek()
-            if kind == "op" and val in "*/":
-                self.take()
-                w = self.factor()
-                if val == "*":
-                    v = v * w
-                else:
-                    if w.degree > 0:
-                        raise ParseError("cannot divide by a polynomial in x", pos)
-                    if not w:
-                        raise ParseError("division by zero", pos)
-                    try:
-                        v = XPoly(c / w.coeff(0) for c in v.coeffs())
-                    except ExactDivisionError:
-                        raise ParseError(_RING_MSG, pos) from None
-                v = self._checked(v, pos)
+            if not (kind == "op" and val in "*/"):
+                return self._form(v)
+            self.take()
+            w = self.factor()
+            if val == "*":
+                # predicted before either factor's power is formed
+                if v.base and w.base and _product_size(
+                    _shape(v.base, v.e), _shape(w.base, w.e)
+                ) > MAX_POWER_TERMS:
+                    raise ParseError(_PRODUCT_MSG, pos)
+                p = self._form(v) * self._form(w)
             else:
-                return v
+                p, w = self._form(v), self._form(w)
+                if w.degree > 0:
+                    raise ParseError("cannot divide by a polynomial in x", pos)
+                if not w:
+                    raise ParseError("division by zero", pos)
+                try:
+                    p = XPoly(c / w.coeff(0) for c in p.coeffs())
+                except ExactDivisionError:
+                    raise ParseError(_RING_MSG, pos) from None
+            v = _Factor(self._checked(p, pos))
 
-    def factor(self) -> XPoly:
+    def factor(self) -> _Factor:
         kind, val, pos = self.peek()
         neg = False
         if kind == "op" and val == "-":
@@ -202,23 +240,29 @@ class _Parser:
             neg = True
         v = self.atom()
         kind, val, pos = self.peek()
-        if kind == "op" and val == "^":
-            self.take()
-            e = self.exponent()
-            if v and _power_size(v, e) > MAX_POWER_TERMS:
-                raise ParseError(_SIZE_MSG, pos)
-            if v and _power_bits(v, e) >= MAX_COEFF_BITS:
-                raise ParseError(_BITS_MSG, pos)
+        if not (kind == "op" and val == "^"):
+            return _Factor(v, neg=neg)
+        self.take()
+        e = self.exponent()
+        if v and _power_size(v, e) > MAX_POWER_TERMS:
+            raise ParseError(_SIZE_MSG, pos)
+        if v and _power_bits(v, e) >= MAX_COEFF_BITS:
+            raise ParseError(_BITS_MSG, pos)
+        if v.degree > 0 and e < 0:
+            raise ParseError("negative power of x", pos)
+        if not v:
+            return _Factor(self._zero_pow(e, pos), neg=neg)
+        return _Factor(v, e, pos, neg)
+
+    def _form(self, f: _Factor) -> XPoly:
+        v = f.base
+        if f.e != 1:
             if v.degree > 0:
-                if e < 0:
-                    raise ParseError("negative power of x", pos)
-                v = v ** e
-            elif not v:
-                v = self._zero_pow(e, pos)
+                v = v ** f.e
             else:
-                v = XPoly((self._scalar_pow(v.coeff(0), e, pos),))
-            v = self._checked(v, pos)
-        return -v if neg else v
+                v = XPoly((self._scalar_pow(v.coeff(0), f.e, f.pos),))
+            v = self._checked(v, f.pos)
+        return -v if f.neg else v
 
     @staticmethod
     def _scalar_pow(c: Scalar, e: int, pos: int) -> Scalar:

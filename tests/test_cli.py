@@ -7,6 +7,7 @@ import platform
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -250,6 +251,16 @@ def test_expand_power_too_large(capsys):
         assert code == 2
         assert out == ""
         assert err.startswith("error: position %d:" % pos)
+
+
+def test_expand_product_too_large(capsys):
+    # refused at the "*" from the predicted size, before the powers or the
+    # million-term product are formed
+    start = time.perf_counter()
+    code, out, err = run(capsys, "expand", "--degree-poly", "(1+t)^1000*(1+u)^1000")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == "error: position 10: product beyond the supported range of 1024 terms\n"
 
 
 def test_verify_numeric(capsys):

@@ -9,7 +9,10 @@ sub, shift, small products and unpacking against `_padd`, `_psub` and
 `_pmul`, at both strides.  Where the tracked bound reaches 2^(w - 1) the
 operation must ask for a wider slot instead of returning a row.
 `_unpack` is checked against the balanced base-2^w digits of P at slot
-widths 8 to 128.
+widths 8 to 128.  A row's digit-read bound (`_digit_bound`) must lie
+between its largest |coefficient| and its triangle bound, and a row
+repacked to a wider slot (`_repack`) must keep its coefficients, its
+offset and its bound.
 """
 
 import pytest
@@ -18,7 +21,7 @@ hyp = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 from qaw.scalar import _padd, _pmul, _psub  # noqa: E402
-from qaw.structure import _Widen, _lincomb, _unpack  # noqa: E402
+from qaw.structure import _Widen, _digit_bound, _lincomb, _repack, _unpack  # noqa: E402
 
 SETTINGS = hyp.settings(
     max_examples=60,
@@ -174,3 +177,46 @@ def test_unpack_is_the_slot_by_slot_definition(w, g):
     ]
     assert [_unpack(row, w, g) for row in rows] == want
 
+
+
+@st.composite
+def cancelling_row(draw):
+    """(row, w, g): f1 - f2 packed at width w, whose triangle bound
+    ||f1||_1 + ||f2||_1 stays below 2^(w - 1) however much cancels."""
+    w = draw(st.sampled_from([8, 16, 24, 32, 64, 80, 128]))
+    g = draw(st.sampled_from([1, 2]))
+    cap = (1 << (w - 1)) // 16
+    coeffs = st.one_of(
+        st.integers(-3, 3),
+        st.integers(-cap, cap),
+        st.builds(lambda j, s: s << j, st.integers(0, w - 5), st.sampled_from([1, -1])),
+    ).filter(lambda c: 0 < abs(c) <= cap)
+    p = draw(st.integers(0, 1))
+    exps = st.integers(-9, 9).map(lambda k: g * k + p)
+    f1, f2 = (draw(st.dictionaries(exps, coeffs, max_size=6)) for _ in range(2))
+    a, b = _lincomb([(f1, UNIT)], w, g), _lincomb([(f2, UNIT)], w, g)
+    return _lincomb([(ONE, a), (MINUS, b)], w, g), w, g
+
+
+@SETTINGS
+@hyp.given(cancelling_row())
+def test_digit_bound_lies_between_the_coefficients_and_the_triangle(c):
+    row, w, g = c
+    top = max(map(abs, _unpack(row, w, g).values()), default=0)
+    bound = _digit_bound(row, w)
+    assert top <= bound <= row[2]
+    # the top byte of a slot pins its digit to within two steps of 2^(w-8)
+    assert bound < top + (2 << (w - 8))
+
+
+@pytest.mark.parametrize("w", [8, 16, 24, 64, 128])
+@pytest.mark.parametrize("g", [1, 2])
+def test_repack_keeps_coefficients_offset_and_bound(w, g):
+    for digits in unpack_cases(w):
+        row = packed(digits, -3, w)
+        for w2 in range(w + 8, w + 121, 8):
+            wide = _repack(row, w, w2)
+            assert _unpack(wide, w2, g) == _unpack(row, w, g)
+            assert wide[1:] == row[1:]
+            # P is f at t = 2^w2
+            assert wide[0] == sum(c << (w2 * s) for s, c in enumerate(digits))

@@ -25,7 +25,7 @@ from qaw.structure import (
     _lincomb,
     _stride,
     _offsets_report,
-    _zmonic_rows,
+    _zmonic_next,
     bandwidth_scan,
     expand_in_basis,
     iter_proposition_reports,
@@ -425,11 +425,13 @@ def big_a_family():
 @pytest.mark.parametrize(
     "make, nmax, first",
     [
-        (counterexample_family, 12, None),
+        # widens twice, so rows repacked once are repacked again
+        (counterexample_family, 16, None),
         (lambda: bumped_family(tpow(5)), 6, None),
         # the first widening fires while only Q_0 is stored, i.e. in the
-        # recurrence step that builds Q_1, not in an elimination
-        (big_a_family, 5, (1, 16)),
+        # recurrence step that builds Q_1, not in an elimination; its
+        # bound 128 needs 9 bits, and 8 more to spare make 24
+        (big_a_family, 5, 24),
     ],
     ids=["counterexample", "bumped", "big-a"],
 )
@@ -438,25 +440,38 @@ def test_tiny_slot_width_widens_to_the_same_reports(monkeypatch, make, nmax, fir
         return [(r.record(), r.coefficients) for r in iter_proposition_reports(nmax, make())]
 
     want = reports()
-    builds = []
-    rows = structure._zmonic_rows
+    events = []
+    zmonic_next, repack = structure._zmonic_next, structure._repack
 
-    def spy(rec, count, w, g):
-        builds.append((count, w))
-        return rows(rec, count, w, g)
+    def spy_next(qs, a2, b4, w, g):
+        rows = zmonic_next(qs, a2, b4, w, g)
+        events.append(("built", len(qs), w))
+        return rows
+
+    def spy_repack(row, w, w2):
+        events.append(("repacked", w, w2))
+        return repack(row, w, w2)
 
     monkeypatch.setattr(structure, "_SLOT_BITS", 8)
-    monkeypatch.setattr(structure, "_zmonic_rows", spy)
+    monkeypatch.setattr(structure, "_zmonic_next", spy_next)
+    monkeypatch.setattr(structure, "_repack", spy_repack)
     assert reports() == want
-    # the sweep started at 8 bits and doubled at least twice
-    assert builds[0] == (1, 8)
-    assert {8, 16, 32} <= {w for _, w in builds}
+    # every Q_k, k = 1 .. nmax + 1, was built once: widening repacks the
+    # stored rows and never rebuilds them from the recurrence
+    assert [k for e, k, _ in events if e == "built"] == list(range(1, nmax + 2))
+    # each widening repacks the stored rows from one width to the next,
+    # starting from 8 bits
+    steps = list(dict.fromkeys((w, w2) for e, w, w2 in events if e == "repacked"))
+    assert steps and steps[0][0] == 8
+    assert all(w < w2 for w, w2 in steps)
+    assert all(a[1] == b[0] for a, b in zip(steps, steps[1:]))
     if first:
-        assert builds[1] == first
+        # one row repacked, then Q_1 built at the new width
+        assert events[:2] == [("repacked", 8, first), ("built", 1, first)]
 
 
 def test_wide_recurrence_coefficient_matches_qtu_route():
-    # 2 a_0 = 2^71 is past the default 64-bit slot before any elimination
+    # 2 a_0 = 2^71 is past the default slot width before any elimination
     fam = OPSFamily(lambda n: rational(2**70), lambda n: ONE)
     ctx = context()
     reps = list(iter_proposition_reports(4, fam))
@@ -484,7 +499,9 @@ def test_expand_int_known_answer(g):
     rec = _int_recurrence(dual_qhahn_family(FamilyParams(*params)), 10)
     assert _stride(rec) == g
     w = 512
-    qs = _zmonic_rows(rec, 10, w, g)
+    qs = [[(1, 0, 1)]]
+    while len(qs) < 10:
+        qs.append(_zmonic_next(qs, *rec[len(qs) - 1], w, g))
     work = {
         m: _lincomb([(e, qs[k][m]) for k, e in KNOWN_E.items() if k >= m], w, g)
         for m in range(10)

@@ -14,6 +14,8 @@ from qaw.textio import (
     ParseError,
     _power_bits,
     _power_size,
+    _product_size,
+    _shape,
     format_record,
     latex_xpoly,
     parse_scalar,
@@ -205,6 +207,55 @@ def test_power_bits_prediction():
     # the logarithms of the values, not their bit lengths: 2^14000 needs
     # 14000 bits, and 3 * log2(2^14000 + 1) would read 42000
     assert _power_bits(parse_xpoly("2"), 14000) == 14000
+
+
+# (v, e, w, f, the predicted size of v^e * w^f)
+PRODUCT_CASES = [
+    # the box of the exponents: 1001 t-powers, and one slot
+    ("1+t", 500, "1+t", 500, 1001 + 1),
+    # |v^e| |w^f| = 10 * 24 terms, below the box 24 * 27 * 4, and 24 slots
+    ("1+t+u", 3, "x+t", 23, 240 + 24),
+    ("x+t", 1, "x-t", 1, 4 + 3),
+    ("1+t", 300, "1+u", 300, 301 * 301 + 1),
+]
+
+
+def test_product_size_prediction():
+    # each factor's shape is predicted from its base, before the power
+    for v, e, w, f, size in PRODUCT_CASES:
+        got = _product_size(_shape(parse_xpoly(v), e), _shape(parse_xpoly(w), f))
+        assert got == size, (v, w)
+    # the prediction bounds the terms the product holds
+    for v, e, w, f, size in PRODUCT_CASES[1:3]:
+        product = parse_xpoly(v) ** e * parse_xpoly(w) ** f
+        held = sum(len(list(c.laurent_terms())) + 1 for c in product.coeffs())
+        assert held <= size, (v, w)
+
+
+@pytest.mark.parametrize(
+    "text,pos",
+    [("(1+t)^1000*(1+u)^1000", 10), ("(1+t)^300*(1+u)^300", 9), ("x^300*(1+t)^2*x^300", 13)],
+)
+def test_product_size_is_checked(text, pos, monkeypatch):
+    # refused at the "*" from the factors' predicted shapes, before either
+    # power or the product is formed
+    products = []
+    pmul = scalar._pmul
+    monkeypatch.setattr(scalar, "_pmul", lambda a, b: products.append(1) or pmul(a, b))
+    with pytest.raises(ParseError) as info:
+        parse_xpoly(text)
+    assert info.value.pos == pos
+    assert "product beyond the supported range" in str(info.value)
+    assert text[:pos].count("*") or not products
+
+
+def test_products_at_the_limit_parse():
+    # 1001 terms in one slot, at the limit's edge; and the product that CI
+    # expands
+    v = parse_xpoly("(1+t)^500*(1+t)^500")
+    terms = {i: c for i, _, c in v.coeff(0).laurent_terms()}
+    assert len(terms) == 1001 and terms[500] == math.comb(1000, 500)
+    assert parse_xpoly("(1+t+u)^3*(x+t)^23").degree == 23
 
 
 @pytest.mark.parametrize(
