@@ -433,6 +433,7 @@ class _Kernel:
             rec = self.rec[len(self.qs) - 1]
             self.qs.append(self.fit(lambda qs, w, g: _zmonic_next(qs, *rec, w, g)))
 
+
 def _sq_rows(q: list[Row], w: int, g: int) -> dict[int, Row]:
     """Q_n(t^2 z) + Q_n(t^-2 z), i.e. 2^(n+1) S_q P_n, by its m >= 0 rows."""
     rows = {m: _lincomb([(_twin(m, 1), r)], w, g) for m, r in enumerate(q)}
