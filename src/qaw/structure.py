@@ -247,11 +247,8 @@ _ZERO_ROW: Row = (0, 0, 0)
 
 
 class _Widen(Exception):
-    """A bound b reached 2^(w - 1): the step is redone at a width that holds b."""
-
-    def __init__(self, bound: int):
-        super().__init__(bound)
-        self.bound = bound
+    """A bound b = args[0] reached 2^(w - 1): the step is redone at a width
+    that holds b."""
 
 
 def _int_laurent(s: Scalar, scale: int) -> dict[int, int]:
@@ -421,7 +418,7 @@ class _Kernel:
             try:
                 return step(self.qs, self.w, self.g)
             except _Widen as e:
-                need = e.bound.bit_length() + 1 + _HEADROOM
+                need = e.args[0].bit_length() + 1 + _HEADROOM
                 w = max(self.w + 8, -(-need // 8) * 8)
                 for q in self.qs:
                     q[:] = [_repack(r, self.w, w) for r in q]

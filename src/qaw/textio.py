@@ -221,13 +221,13 @@ class _Parser:
                     raise ParseError(_PRODUCT_MSG, pos)
                 p = self._form(v) * self._form(w)
             else:
-                p, w = self._form(v), self._form(w)
-                if w.degree > 0:
+                p, d = self._form(v), self._form(w)
+                if d.degree > 0:
                     raise ParseError("cannot divide by a polynomial in x", pos)
-                if not w:
+                if not d:
                     raise ParseError("division by zero", pos)
                 try:
-                    p = XPoly(c / w.coeff(0) for c in p.coeffs())
+                    p = XPoly(c / d.coeff(0) for c in p.coeffs())
                 except ExactDivisionError:
                     raise ParseError(_RING_MSG, pos) from None
             v = _Factor(self._checked(p, pos))

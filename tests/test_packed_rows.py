@@ -75,8 +75,10 @@ def check(terms, want, w, g):
     """_lincomb(terms) is want, or _Widen exactly when the bound needs it."""
     bound = sum(l1(e) * b for e, (p, _, b) in terms if e and p)
     if bound >> (w - 1):
-        with pytest.raises(_Widen):
+        with pytest.raises(_Widen) as info:
             _lincomb(terms, w, g)
+        # the kernel widens to what this bound needs
+        assert info.value.args == (bound,)
         return
     row = _lincomb(terms, w, g)
     assert _unpack(row, w, g) == want
@@ -115,8 +117,9 @@ def test_widen_is_asked_at_the_bound():
     # |c| < 2^(w-1) fits; a sum that reaches 2^(w-1) does not
     row = _lincomb([({0: 127}, UNIT)], 8, 1)
     assert _unpack(row, 8, 1) == {0: 127}
-    with pytest.raises(_Widen):
+    with pytest.raises(_Widen) as info:
         _lincomb([(ONE, row), (ONE, UNIT)], 8, 1)
+    assert info.value.args == (128,)
     with pytest.raises(_Widen):
         _lincomb([({0: -128}, UNIT)], 8, 1)
 
