@@ -181,7 +181,6 @@ def test_unpack_is_the_slot_by_slot_definition(w, g):
     assert [_unpack(row, w, g) for row in rows] == want
 
 
-
 @st.composite
 def cancelling_row(draw):
     """(row, w, g): f1 - f2 packed at width w, whose triangle bound
