@@ -26,8 +26,8 @@ Scalar coefficients keyed by degree in x or exponent of z.
 
 Exponent pairs (i, j) are packed into a single integer key
 (i << 32) + j, which turns monomial multiplication into integer
-addition.  The packing is unambiguous for |j| < 2^31, far beyond
-anything the rest of the package produces.
+addition.  It is unambiguous for |j| < 2^31 (u^(2^32) would wrap into
+t), and MAX_EXPONENT = 2^24 keeps every exponent far inside that.
 """
 
 from __future__ import annotations
@@ -48,10 +48,11 @@ _SHIFT = 32
 _HALF = 1 << 31
 _MASK = (1 << 32) - 1
 
-# Sanity bound on exponents accepted from external input: `from_terms`,
-# `tpow`, `upow`, `**` and the text parser refuse anything beyond it.
-# Internal arithmetic only ever adds exponents of modest size, so the
-# packing cannot silently wrap.
+# The bound on exponents from external input: `from_terms`, `tpow` and
+# `upow` refuse one beyond it, Scalar and XPoly `**` a power that would
+# pass it, and the text parser every power and product predicted to,
+# before it is formed.  The package's own arithmetic only adds exponents
+# of modest size, so the packing cannot wrap.
 MAX_EXPONENT = 1 << 24
 
 _R0 = Rat(0)

@@ -47,17 +47,12 @@ _RANGE_MSG = "exponent beyond the supported range |e| <= %d" % MAX_EXPONENT
 _RING_MSG = "result is not a Laurent polynomial in t and u"
 
 # The most terms that a power v^e or a product v * w in the parser may
-# hold, predicted before it is computed.  v^e is stored as
-# S = deg v * |e| + 1 slots, one Scalar per power of x; N bounds the
-# monomials x^i t^j u^k of all slots together, from `_monomial_count`,
-# and the prediction is max(S, N) + S, the terms and one entry per slot.
-# v * w is predicted the same way, with S = deg v + deg w + 1 and N the
-# least of |v| |w| and the box of its exponents.  A value beyond it is
-# refused at its "^" or "*".  Powers of t-u monomials and of rational
-# constants predict 2 and are bounded by MAX_EXPONENT instead.
+# hold, predicted by its `_Shape` before it is formed: one Scalar per
+# power of x up to the degree d, holding at most N monomials x^i t^j u^k
+# together, so max(d + 1, N) + d + 1 terms.  A value beyond it is
+# refused at its "^" or "*".
 MAX_POWER_TERMS = 1 << 10
-_SIZE_MSG = "power beyond the supported range of %d terms" % MAX_POWER_TERMS
-_PRODUCT_MSG = "product beyond the supported range of %d terms" % MAX_POWER_TERMS
+_SIZE_MSG = "%%s beyond the supported range of %d terms" % MAX_POWER_TERMS
 
 # The most bits that the numerator or the denominator of a coefficient in
 # parsed text may hold.  2^14284 < 10^4300, the most digits that int()
@@ -66,56 +61,53 @@ MAX_COEFF_BITS = 14284
 _BITS_MSG = "coefficient beyond the supported range of %d bits" % MAX_COEFF_BITS
 
 
-def _exps(v: XPoly) -> set[tuple[int, int, int]]:
-    """The exponents (i, j, k) of the monomials x^i t^j u^k of v."""
-    return {(i, j, k) for i, c in enumerate(v.coeffs()) for j, k, _ in c.laurent_terms()}
+class _Shape(NamedTuple):
+    """A power or product predicted before it is formed: at most `count`
+    monomials x^i t^j u^k, with exponents between `lo` and `hi` axis by
+    axis (hi[0] is the degree in x), and each numerator and denominator
+    of its coefficients at most 2^bits."""
+
+    count: int
+    lo: tuple[int, ...]
+    hi: tuple[int, ...]
+    bits: float
+
+    @classmethod
+    def of(cls, count: int, lo: tuple[int, ...], hi: tuple[int, ...], bits: float):
+        # no more monomials than the box of their exponents holds
+        box = math.prod(h - l + 1 for l, h in zip(lo, hi))
+        return cls(min(count, box), lo, hi, bits)
+
+    @property
+    def terms(self) -> int:
+        return max(self.hi[0] + 1, self.count) + self.hi[0] + 1
 
 
-def _spans(exps: set[tuple[int, ...]]) -> list[int]:
-    """max - min of each exponent over exps, axis by axis."""
-    return [max(axis) - min(axis) for axis in zip(*exps)]
+def _shape(v: XPoly, e: int) -> _Shape:
+    """The shape of v^e, v nonzero and e >= 0 unless v is free of x.
 
-
-def _monomial_count(exps: set[tuple[int, ...]], e: int) -> int:
-    """A bound on the monomials of the e-th power of a sum over exps: the
-    e-element multisets of exps, and at most the box of e times its span."""
-    box = math.prod(s * e + 1 for s in _spans(exps))
-    return min(math.comb(len(exps) + e - 1, e), box)
-
-
-def _shape(v: XPoly, e: int) -> tuple[int, int, list[int]]:
-    """(degree, a bound on the monomials, exponent spans) of v^e, v nonzero."""
-    exps, e = _exps(v), abs(e)
-    return v.degree * e, _monomial_count(exps, e), [s * e for s in _spans(exps)]
-
-
-def _power_size(v: XPoly, e: int) -> int:
-    """The predicted number of terms of v^e, v nonzero; see MAX_POWER_TERMS."""
-    degree, count, _ = _shape(v, e)
-    return max(degree + 1, count) + degree + 1
-
-
-def _product_size(a: tuple[int, int, list[int]], b: tuple[int, int, list[int]]) -> int:
-    """The predicted number of terms of the product of two `_shape`s; see
-    MAX_POWER_TERMS."""
-    box = math.prod(s + r + 1 for s, r in zip(a[2], b[2]))
-    slots = a[0] + b[0] + 1
-    return max(slots, min(a[1] * b[1], box)) + slots
-
-
-def _power_bits(v: XPoly, e: int) -> float:
-    """A bound on the bits of each numerator and denominator of v^e, v nonzero.
-
-    With m terms, N the largest numerator and D the lcm of the
-    denominators, v = w/D with each coefficient of w at most N D, so a
-    coefficient of v^e is a sum of at most m^e products over D^e: its
-    numerator is at most (m N D)^e and its denominator divides D^e.  A
-    negative e inverts a monomial, where m = 1, and swaps the two.
+    Its monomials are the |e|-element multisets of those of v.  With D
+    the lcm of v's denominators and L the l1 norm of D v, v^e is
+    (D v)^e / D^e, whose numerators are at most L^e and whose
+    denominators divide D^e.  A negative e inverts a monomial, the only
+    base with an inverse in the ring, and swaps its L and D.
     """
-    rats = [r for c in v.coeffs() for _, _, r in c.laurent_terms()]
-    n = max(abs(int(r.numerator)) for r in rats)
+    *axes, rats = zip(*((i, j, k, r) for i, c in v.terms() for j, k, r in c.laurent_terms()))
     d = math.lcm(*(int(r.denominator) for r in rats))
-    return abs(e) * (math.log2(len(rats)) + math.log2(n) + math.log2(d))
+    l1 = sum(abs(int(r.numerator)) * (d // int(r.denominator)) for r in rats)
+    lo, hi = zip(*(sorted((e * min(a), e * max(a))) for a in axes))
+    n = abs(e)
+    return _Shape.of(math.comb(len(rats) + n - 1, n), lo, hi, n * math.log2(max(l1, d)))
+
+
+def _times(a: _Shape, b: _Shape) -> _Shape:
+    """The shape of a product of values of shapes a and b."""
+    return _Shape.of(
+        a.count * b.count,
+        tuple(map(sum, zip(a.lo, b.lo))),
+        tuple(map(sum, zip(a.hi, b.hi))),
+        a.bits + b.bits,
+    )
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -181,10 +173,22 @@ class _Parser:
         return v
 
     @staticmethod
+    def _predicted(s: _Shape, pos: int, what: str) -> None:
+        # a power or product is refused before it is formed: its terms,
+        # then its bits, then its t/u range, so that no packed u-exponent
+        # gets near the 2^31 at which it would wrap into t
+        if s.terms > MAX_POWER_TERMS:
+            raise ParseError(_SIZE_MSG % what, pos)
+        if s.bits >= MAX_COEFF_BITS:
+            raise ParseError(_BITS_MSG, pos)
+        if max(map(abs, s.lo[1:] + s.hi[1:])) > MAX_EXPONENT:
+            raise ParseError(_RANGE_MSG, pos)
+
+    @staticmethod
     def _checked(v: XPoly, pos: int) -> XPoly:
-        # every intermediate stays in range, so none can reach the 2^31
-        # at which the packed u-exponent would wrap, and each coefficient
-        # renders
+        # every value is checked once formed: nothing predicts a sum, which
+        # may gain a bit, or a quotient, which may pass the exponents of
+        # its operands, and a predicted bits bound is a float
         for c in v.coeffs():
             if _max_exponent(c) > MAX_EXPONENT:
                 raise ParseError(_RANGE_MSG, pos)
@@ -215,10 +219,9 @@ class _Parser:
             w = self.factor()
             if val == "*":
                 # predicted before either factor's power is formed
-                if v.base and w.base and _product_size(
-                    _shape(v.base, v.e), _shape(w.base, w.e)
-                ) > MAX_POWER_TERMS:
-                    raise ParseError(_PRODUCT_MSG, pos)
+                if v.base and w.base:
+                    shape = _times(_shape(v.base, v.e), _shape(w.base, w.e))
+                    self._predicted(shape, pos, "product")
                 p = self._form(v) * self._form(w)
             else:
                 p, d = self._form(v), self._form(w)
@@ -244,40 +247,24 @@ class _Parser:
             return _Factor(v, neg=neg)
         self.take()
         e = self.exponent()
-        if v and _power_size(v, e) > MAX_POWER_TERMS:
-            raise ParseError(_SIZE_MSG, pos)
-        if v and _power_bits(v, e) >= MAX_COEFF_BITS:
-            raise ParseError(_BITS_MSG, pos)
         if v.degree > 0 and e < 0:
             raise ParseError("negative power of x", pos)
         if not v:
-            return _Factor(self._zero_pow(e, pos), neg=neg)
+            if e <= 0:
+                raise ParseError("zero raised to a nonpositive power", pos)
+            return _Factor(v, neg=neg)
+        self._predicted(_shape(v, e), pos, "power")
         return _Factor(v, e, pos, neg)
 
     def _form(self, f: _Factor) -> XPoly:
         v = f.base
         if f.e != 1:
-            if v.degree > 0:
-                v = v ** f.e
-            else:
-                v = XPoly((self._scalar_pow(v.coeff(0), f.e, f.pos),))
+            try:
+                v = v ** f.e if v.degree > 0 else XPoly((v.coeff(0) ** f.e,))
+            except ExactDivisionError:
+                raise ParseError(_RING_MSG, f.pos) from None
             v = self._checked(v, f.pos)
         return -v if f.neg else v
-
-    @staticmethod
-    def _scalar_pow(c: Scalar, e: int, pos: int) -> Scalar:
-        try:
-            return c ** e
-        except OverflowError:
-            raise ParseError(_RANGE_MSG, pos) from None
-        except ExactDivisionError:
-            raise ParseError(_RING_MSG, pos) from None
-
-    @staticmethod
-    def _zero_pow(e: int, pos: int) -> XPoly:
-        if e <= 0:
-            raise ParseError("zero raised to a nonpositive power", pos)
-        return XPoly.zero()
 
     def exponent(self) -> int:
         kind, val, pos = self.take()

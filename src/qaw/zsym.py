@@ -23,8 +23,8 @@ from math import comb
 from math import inf as _INF
 from typing import Iterable, Iterator
 
-from .scalar import Rat, Scalar, as_scalar, ZERO, ONE
-from .scalar import _Ring, _collect, _padd, _pdiv, _power
+from .scalar import MAX_EXPONENT, Rat, Scalar, as_scalar, ZERO, ONE
+from .scalar import _Ring, _collect, _max_exponent, _padd, _pdiv, _power
 
 NEG_INF = -_INF
 
@@ -108,6 +108,10 @@ class XPoly(_Poly):
     def __pow__(self, e: int) -> "XPoly":
         if not isinstance(e, int) or e < 0:
             return NotImplemented
+        # as in Scalar.__pow__: the power's largest |exponent| of t or u
+        # is e times that of self, so this refuses exactly the powers past it
+        if e * max(map(_max_exponent, self._t.values()), default=0) > MAX_EXPONENT:
+            raise OverflowError("power %d leaves the supported exponent range" % e)
         return _power(self, e, XPoly.one())
 
     # -- rendering ---------------------------------------------------------

@@ -238,11 +238,15 @@ def test_empty_samples_are_usage_errors(capsys):
 
 
 def test_expand_exponent_out_of_range(capsys):
-    for text in ("u^2147483648", "2^99999999999"):
+    # the last would wrap x^256 u^(2^32) into t x^256 in the packed key
+    # and cancel the -t*x^256: refused at its "^" before it is formed
+    last = "(x*u^16777216)^256 - t*x^256 + x"
+    for text, pos in (("u^2147483648", 1), ("2^99999999999", 1), (last, 14)):
         code, out, err = run(capsys, "expand", "--degree-poly", text)
         assert code == 2
         assert out == ""
-        assert err.startswith("error: position 1:")
+        assert err.startswith("error: position %d:" % pos)
+    assert err == "error: position 14: exponent beyond the supported range |e| <= 16777216\n"
 
 
 def test_expand_power_too_large(capsys):

@@ -125,6 +125,17 @@ def test_exponent_guard():
             base ** e
 
 
+def test_xpoly_exponent_guard():
+    # x^256 u^(2^32) would wrap onto the packed key of t x^256
+    x = XPoly.x()
+    with pytest.raises(OverflowError):
+        (x * upow(MAX_EXPONENT)) ** 256
+    with pytest.raises(OverflowError):
+        (x * tpow(-2)) ** (MAX_EXPONENT // 2 + 1)
+    assert (x * upow(1 << 16)) ** 256 == x ** 256 * upow(MAX_EXPONENT)
+    assert (x + T) ** 0 == XPoly.one()
+
+
 def test_float_coefficients_rejected():
     with pytest.raises(TypeError):
         T * 0.5  # pytest: disable

@@ -12,10 +12,8 @@ from qaw.scalar import HALF, MAX_EXPONENT, ONE, Scalar, T, U, rational, tpow, up
 from qaw.textio import (
     MAX_POWER_TERMS,
     ParseError,
-    _power_bits,
-    _power_size,
-    _product_size,
     _shape,
+    _times,
     format_record,
     latex_xpoly,
     parse_scalar,
@@ -68,6 +66,25 @@ ZFORM = ZLaurent(
 ZFORM_TEXT = (
     "-(1/2)*t*z^2 + z + (t + 1) + z^-1 - (1/2)*t*z^-2 + t^-1*u*z^-3"
 )
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """The Laurent products formed from here on, one entry each."""
+    out = []
+    pmul = scalar._pmul
+    monkeypatch.setattr(scalar, "_pmul", lambda a, b: out.append(1) or pmul(a, b))
+    return out
+
+
+def assert_bases_only(text, bases, products):
+    """The refused text formed only the products of its bases, each
+    parsed alone: the power or product it was refused at was not formed."""
+    refused = len(products)
+    products.clear()
+    for base in bases:
+        parse_xpoly(base)
+    assert refused == len(products), text
 
 
 def test_parse_xpoly():
@@ -127,14 +144,20 @@ def test_non_ascii_digits_are_refused(text):
         ("t^-16777216/t", 11),
         ("x*u^16777216*u^-1*u^16777216", 17),
         ("2^99999999999", 1),
+        # u^(2^32) would wrap into t in the packed key: x^256 u^(2^32) read
+        # as t x^256
+        ("(x*u^16777216)^256", 14),
     ],
 )
-def test_exponent_range_is_checked(text, pos):
-    # the packed u-exponent wraps at 2^31, so no intermediate may get there
+def test_exponent_range_is_checked(text, pos, products):
+    # the packed u-exponent wraps at 2^31: a power or product is refused
+    # before it is formed, and any other value once it passes 2^24
     with pytest.raises(ParseError) as info:
         parse_xpoly(text)
     assert info.value.pos == pos
     assert "supported range" in str(info.value)
+    if text[pos] == "^":
+        assert_bases_only(text, [text[:pos]], products)
     assert parse_scalar("u^16777216") == upow(MAX_EXPONENT)
 
 
@@ -185,28 +208,28 @@ def power(v, e):
 def test_power_size_prediction():
     # the multisets of a few monomials, and one entry per dense x slot
     for text, e, size in POWER_CASES:
-        assert _power_size(parse_xpoly(text), e) == size, text
+        assert _shape(parse_xpoly(text), e).terms == size, text
     # the prediction bounds the terms the power holds
     for text, e, _ in POWER_CASES:
         v = parse_xpoly(text)
         held = sum(len(list(c.laurent_terms())) + 1 for c in power(v, e).coeffs())
-        assert held <= _power_size(v, e), text
+        assert held <= _shape(v, e).terms, text
 
 
 def test_power_bits_prediction():
-    # every numerator and denominator of v^e is at most 2^_power_bits(v, e)
+    # every numerator and denominator of v^e is at most 2^_shape(v, e).bits
     cases = [(text, e) for text, e, _ in POWER_CASES]
     cases += [("t/3 + 1/5", 40), ("(2^40*t - 3)/7", 12), ("(2^40*t - 3)/7", 1)]
     for text, e in cases:
         v = parse_xpoly(text)
-        bound = _power_bits(v, e)
+        bound = _shape(v, e).bits
         for c in power(v, e).coeffs():
             for _, _, r in c.laurent_terms():
                 for k in (abs(r.numerator), r.denominator):
                     assert math.log2(k) <= bound * (1 + 1e-12), (text, e)
     # the logarithms of the values, not their bit lengths: 2^14000 needs
     # 14000 bits, and 3 * log2(2^14000 + 1) would read 42000
-    assert _power_bits(parse_xpoly("2"), 14000) == 14000
+    assert _shape(parse_xpoly("2"), 14000).bits == 14000
 
 
 # (v, e, w, f, the predicted size of v^e * w^f)
@@ -223,8 +246,8 @@ PRODUCT_CASES = [
 def test_product_size_prediction():
     # each factor's shape is predicted from its base, before the power
     for v, e, w, f, size in PRODUCT_CASES:
-        got = _product_size(_shape(parse_xpoly(v), e), _shape(parse_xpoly(w), f))
-        assert got == size, (v, w)
+        got = _times(_shape(parse_xpoly(v), e), _shape(parse_xpoly(w), f))
+        assert got.terms == size, (v, w)
     # the prediction bounds the terms the product holds
     for v, e, w, f, size in PRODUCT_CASES[1:3]:
         product = parse_xpoly(v) ** e * parse_xpoly(w) ** f
@@ -236,12 +259,9 @@ def test_product_size_prediction():
     "text,pos",
     [("(1+t)^1000*(1+u)^1000", 10), ("(1+t)^300*(1+u)^300", 9), ("x^300*(1+t)^2*x^300", 13)],
 )
-def test_product_size_is_checked(text, pos, monkeypatch):
+def test_product_size_is_checked(text, pos, products):
     # refused at the "*" from the factors' predicted shapes, before either
     # power or the product is formed
-    products = []
-    pmul = scalar._pmul
-    monkeypatch.setattr(scalar, "_pmul", lambda a, b: products.append(1) or pmul(a, b))
     with pytest.raises(ParseError) as info:
         parse_xpoly(text)
     assert info.value.pos == pos
@@ -250,12 +270,13 @@ def test_product_size_is_checked(text, pos, monkeypatch):
 
 
 def test_products_at_the_limit_parse():
-    # 1001 terms in one slot, at the limit's edge; and the product that CI
-    # expands
+    # 1001 terms in one slot, at the limit's edge; the product that CI
+    # expands; and 2^14283, whose 14284 bits are the most allowed
     v = parse_xpoly("(1+t)^500*(1+t)^500")
     terms = {i: c for i, _, c in v.coeff(0).laurent_terms()}
     assert len(terms) == 1001 and terms[500] == math.comb(1000, 500)
     assert parse_xpoly("(1+t+u)^3*(x+t)^23").degree == 23
+    assert parse_xpoly("2^7141*2^7142") == XPoly([rational(2) ** 14283])
 
 
 @pytest.mark.parametrize(
@@ -266,23 +287,25 @@ def test_products_at_the_limit_parse():
         ("(2^5000*t+1)^1000", 12),
         ("2^10000*2^10000", 7),
         ("9" * 4300, 0),
+        # each power holds 7154 bits, and their product up to 14308
+        ("(2^14*t+1)^511*(2^14*t+1)^511", 14),
+        # 2^14284 needs 14285 bits
+        ("2^7142*2^7142", 6),
     ],
 )
-def test_coefficient_bits_are_checked(text, pos, monkeypatch):
-    # a power is refused at its "^" before any product is formed, so the
-    # refused text multiplies no more than its base alone does
-    products = []
-    pmul = scalar._pmul
-    monkeypatch.setattr(scalar, "_pmul", lambda a, b: products.append(1) or pmul(a, b))
+def test_coefficient_bits_are_checked(text, pos, products):
+    # a power is refused at its "^", and a product at its "*", before it
+    # is formed, from the bits predicted from the bases
     with pytest.raises(ParseError) as info:
         parse_xpoly(text)
     assert info.value.pos == pos
     assert "supported range" in str(info.value)
     if text[pos] == "^":
-        refused = len(products)
-        products.clear()
-        parse_xpoly(text[:pos])
-        assert refused == len(products), text
+        assert_bases_only(text, [text[:pos]], products)
+    elif text[pos] == "*":
+        # each side of the "*" is one power
+        sides = (text[:pos], text[pos + 1:])
+        assert_bases_only(text, [side.rsplit("^", 1)[0] for side in sides], products)
 
 
 @pytest.mark.parametrize(
@@ -299,7 +322,7 @@ def test_power_size_limit():
     # x^511, (x+1)^511 and (1+t)^1022 predict 1024 terms, the most allowed
     assert MAX_POWER_TERMS == 1024
     assert parse_xpoly("x^511").degree == 511
-    assert _power_size(parse_xpoly("1+t"), 1022) == 1024
+    assert _shape(parse_xpoly("1+t"), 1022).terms == 1024
     for text in ("x^512", "(x+1)^512", "(1+t)^1023", "(1+u)^-1023", "(x+t+u)^43"):
         with pytest.raises(ParseError):
             parse_xpoly(text)
