@@ -7,16 +7,22 @@ algebra.  That float pipeline is compared against the closed-form
 right-hand sides, one pair per relation, n and grid point.
 
 The family members come from the three-term recurrence in floats,
-with a_k and b_k evaluated once per q sample, which stays accurate
-where Horner's rule on their monomial x-forms cancels (W. Gautschi,
-Orthogonal Polynomials: Computation and Approximation, 2004).  The
-recurrence runs once per distinct point, at each grid point x and at
-its two lattice points x(s +- 1/2), and every n reads those three
-passes.  The closed forms are split once by powers of u = t^(2n) =
-q^(n/2) into u-free parts f_j; each f_j is evaluated once per q
-sample, and the value at n is the float sum of f_j(q) q^(nj/2).  So a
-grid point costs O(nmax) float work, and a closed form O(terms) exact
-work per q sample.  Near q = 1 both the split and the form
+which stays accurate where Horner's rule on their monomial x-forms
+cancels (W. Gautschi, Orthogonal Polynomials: Computation and
+Approximation, 2004).  The closed forms are split by powers of
+u = t^(2n) = q^(n/2) into u-free parts f_j, and the value at n is the
+float sum of f_j(q) q^(nj/2).  Each float is computed once:
+
+- once per run: the exact recurrence coefficients a_k, b_k, the split
+  closed forms and the coefficients of U_2;
+- once per q sample: a_k and b_k, each f_j, and U_2's coefficients, in
+  floats, and the closed forms' values for every n;
+- once per grid point (q, x): the lattice pair x(s +- 1/2), the
+  recurrence at x and at both lattice points, and the weight U_2(x);
+  every n and both relations read them.
+
+So a grid point costs O(nmax) float work, and a closed form O(terms)
+float work per q sample.  Near q = 1 both the split and the form
 instantiated at n cancel: at q = 0.95 the instantiated c_{2,4} lost
 4e-9 relative against 60-digit mpmath, the split 1e-10.
 
@@ -31,7 +37,6 @@ failed the correct family there.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Callable, NamedTuple
 
@@ -73,12 +78,17 @@ class NumericConfig(_NumericFields):
         return "q in %s, x in %s" % (list(self.q_samples), list(self.x_samples))
 
 
+def _horner(cs: list[float], x0: float) -> float:
+    """Horner's rule on the floats cs, constant term first."""
+    acc = 0.0
+    for c in reversed(cs):
+        acc = acc * x0 + c
+    return acc
+
+
 def eval_poly(f: XPoly, q0: float, x0: float) -> float:
     """Horner evaluation with every coefficient of f, u-free, instantiated at q0."""
-    acc = 0.0
-    for c in reversed(f.coeffs()):
-        acc = acc * x0 + c.evaluate(q0)
-    return acc
+    return _horner([c.evaluate(q0) for c in f.coeffs()], x0)
 
 
 def _recurrence(
@@ -106,12 +116,20 @@ def _lattice_pair(q0: float, x0: float) -> tuple[float, float]:
     return 0.5 * (zp + 1.0 / zp), 0.5 * (zm + 1.0 / zm)
 
 
+def _dq(fp: float, fm: float, xp: float, xm: float) -> float:
+    return (fp - fm) / (xp - xm)
+
+
+def _sq(fp: float, fm: float) -> float:
+    return 0.5 * (fp + fm)
+
+
 def lattice_dq(f: Callable[[float], float], q0: float, x0: float) -> float:
     """D_q f at x0 straight from the difference quotient; f is a float function of x."""
     if abs(x0) <= 1.0:
         raise ValueError("lattice evaluation needs |x| > 1")
     xp, xm = _lattice_pair(q0, x0)
-    return (f(xp) - f(xm)) / (xp - xm)
+    return _dq(f(xp), f(xm), xp, xm)
 
 
 def lattice_sq(f: Callable[[float], float], q0: float, x0: float) -> float:
@@ -119,7 +137,7 @@ def lattice_sq(f: Callable[[float], float], q0: float, x0: float) -> float:
     if abs(x0) <= 1.0:
         raise ValueError("lattice evaluation needs |x| > 1")
     xp, xm = _lattice_pair(q0, x0)
-    return 0.5 * (f(xp) + f(xm))
+    return _sq(f(xp), f(xm))
 
 
 def _dot(pairs) -> float:
@@ -136,6 +154,8 @@ def _dot(pairs) -> float:
 
 # a deviation at most this large counts as none
 _ABS_TOL = 1e-12
+# a compared point, formatted only once it is the worst or breaks
+_LABEL = "%s n=%d %s lattice-vs-closed"
 
 
 def _rel_dev(a: float, b: float) -> float:
@@ -220,33 +240,40 @@ def numeric_crosscheck(cfg: NumericConfig, nmax: int) -> NumericSummary:
     fam = counterexample_family()
     rec = [(fam.rec_a(k), fam.rec_b(k)) for k in range(nmax + 1)]
     split = _split_closed_forms()
+    weight_coeffs = u2().coeffs()
     worst = 0.0
-    worst_at = ""
+    worst_at = None
     broken = ""
     for q0 in cfg.q_samples:
         at = "q=%r" % (q0,)
         try:
-            # one recurrence pass per distinct point x0, x(s + 1/2), x(s - 1/2)
-            members = functools.cache(_recurrence(rec, q0))
+            members = _recurrence(rec, q0)
             closed = _closed_values(q0, nmax, split)
+            weight_q = [c.evaluate(q0) for c in weight_coeffs]
             for x0 in cfg.x_samples:
                 at = "q=%r x=%r" % (q0, x0)
-                vals = members(x0)
-                # (name, float operator, its weight) of each relation
-                weight = eval_poly(u2(), q0, x0)
-                sides = (("sq", lattice_sq, 1.0), ("dq", lattice_dq, weight))
-                for n in range(nmax + 1):
-                    for (side, lattice, wt), cf in zip(sides, closed[n]):
-                        lhs = wt * lattice(lambda x: members(x)[n], q0, x0)
+                # one recurrence pass at x0 and at each of x(s +- 1/2)
+                xp, xm = _lattice_pair(q0, x0)
+                vals, vp, vm = members(x0), members(xp), members(xm)
+                weight = _horner(weight_q, x0)
+                for n, (sq_cf, dq_cf) in enumerate(closed):
+                    fp, fm = vp[n], vm[n]
+                    # (name, float lattice operator on p_n, closed form) of each relation
+                    for side, lhs, cf in (
+                        ("sq", _sq(fp, fm), sq_cf),
+                        ("dq", weight * _dq(fp, fm, xp, xm), dq_cf),
+                    ):
                         rhs = _dot((c, vals[n + k]) for k, c in cf.items())
-                        label = "%s n=%d %s lattice-vs-closed" % (side, n, at)
                         d = _rel_dev(lhs, rhs)
-                        if not math.isfinite(d):
-                            broken = broken or label + " not finite"
-                        elif d > worst:
-                            worst, worst_at = d, label
+                        if d <= worst:  # NaN compares false
+                            continue
+                        if math.isfinite(d):
+                            worst, worst_at = d, (side, n, at)
+                        elif not broken:
+                            broken = _LABEL % (side, n, at) + " not finite"
         except (ZeroDivisionError, OverflowError) as exc:
             broken = broken or "%s float %s" % (at, type(exc).__name__)
 
     status = "pass" if worst < cfg.rel_tol and not broken else "fail"
-    return NumericSummary(nmax, cfg.grid(), worst, status, broken or worst_at)
+    label = _LABEL % worst_at if worst_at else ""
+    return NumericSummary(nmax, cfg.grid(), worst, status, broken or label)

@@ -499,12 +499,13 @@ class Scalar(_Ring):
         """
         if not 0.0 < q0 < 1.0:
             raise ValueError("q0 must lie strictly between 0 and 1")
-        if self.has_u:
+        terms = [(_unpack(k), c) for k, c in self._t.items()]
+        if any(j for (_, j), _ in terms):
             raise ValueError("scalar depends on u; instantiate n first")
-        d = max(0, -_pmins(self._t)[0]) if self._t else 0
+        d = max(0, -min((i for (i, _), _ in terms), default=0))
         s = 0.0
-        for k, c in self._t.items():
-            s += float(c) * q0 ** (0.25 * (_unpack(k)[0] + d))
+        for (i, _), c in terms:
+            s += float(c) * q0 ** (0.25 * (i + d))
         return s / q0 ** (0.25 * d)
 
     # -- rendering ---------------------------------------------------------

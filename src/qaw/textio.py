@@ -246,7 +246,7 @@ class _Parser:
         if not (kind == "op" and val == "^"):
             return _Factor(v, neg=neg)
         self.take()
-        e = self.exponent()
+        e = self.exponent(pos)
         if v.degree > 0 and e < 0:
             raise ParseError("negative power of x", pos)
         if not v:
@@ -266,7 +266,8 @@ class _Parser:
             v = self._checked(v, f.pos)
         return -v if f.neg else v
 
-    def exponent(self) -> int:
+    def exponent(self, caret: int) -> int:
+        """The exponent after the "^" at caret, |e| <= MAX_EXPONENT."""
         kind, val, pos = self.take()
         sign = 1
         if kind == "op" and val == "-":
@@ -274,6 +275,9 @@ class _Parser:
             kind, val, pos = self.take()
         if kind != "num":
             raise ParseError("expected an integer exponent", pos)
+        # the digits are counted first: int() refuses more than 4300
+        if len(val.lstrip("0")) > len(str(MAX_EXPONENT)) or int(val) > MAX_EXPONENT:
+            raise ParseError(_RANGE_MSG, caret)
         return sign * int(val)
 
     def atom(self) -> XPoly:

@@ -247,6 +247,11 @@ def test_expand_exponent_out_of_range(capsys):
         assert out == ""
         assert err.startswith("error: position %d:" % pos)
     assert err == "error: position 14: exponent beyond the supported range |e| <= 16777216\n"
+    # int() would refuse these 5000 digits with no position
+    for base in ("x", "1"):
+        code, out, err = run(capsys, "expand", "--degree-poly", base + "^" + "9" * 5000)
+        assert (code, out) == (2, "")
+        assert err == "error: position 1: exponent beyond the supported range |e| <= 16777216\n"
 
 
 def test_expand_power_too_large(capsys):

@@ -23,6 +23,11 @@ STREAMS = {
     "verify_proof.jsonl": ("proof",),
     "verify_oracle.jsonl": ("oracle",),
     "verify_numeric.jsonl": ("numeric",),
+    "verify_numeric_n100.jsonl": ("numeric", "--n-max", "100"),
+    # the grid of CI's "verify numeric off the default grid" step
+    "verify_numeric_offgrid.jsonl": (
+        "numeric", "--q", "0.05,0.95", "--x=-3,-1.5,1.01", "--n-max", "30"
+    ),
 }
 
 # (--degree-poly, extra arguments), in the order of expand.jsonl

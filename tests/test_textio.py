@@ -161,6 +161,30 @@ def test_exponent_range_is_checked(text, pos, products):
     assert parse_scalar("u^16777216") == upow(MAX_EXPONENT)
 
 
+@pytest.mark.parametrize("base", ["x", "1", "t", "(-1)"])
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_long_exponent_is_refused_before_int(base, sign, products):
+    # int() refuses more than 4300 digits, with no position; 1^e and
+    # (-1)^e mean something at any e, but every exponent keeps to
+    # |e| <= 2^24, counted on its digits
+    text = "%s^%s%s" % (base, sign, "9" * 5000)
+    with pytest.raises(ParseError) as info:
+        parse_xpoly(text)
+    assert info.value.pos == len(base)
+    assert str(info.value).endswith("exponent beyond the supported range |e| <= 16777216")
+    assert_bases_only(text, [base], products)
+
+
+def test_exponent_of_one_keeps_to_the_range():
+    for e in ("16777216", "-16777216", "000000000016777216"):
+        assert parse_scalar("1^" + e) == ONE
+    assert parse_scalar("(-1)^-16777215") == -ONE
+    for e in ("16777217", "-16777217", "000000000016777217"):
+        with pytest.raises(ParseError) as info:
+            parse_scalar("1^" + e)
+        assert info.value.pos == 1 and "supported range |e|" in str(info.value)
+
+
 @pytest.mark.parametrize(
     "text,pos",
     [
