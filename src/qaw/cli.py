@@ -211,7 +211,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("expand", help="expand a polynomial in the family basis")
     p.add_argument(
         "--degree-poly", required=True, metavar="TEXT",
-        help="polynomial in x, t, u; e.g. 'x^2 - t*x + 1'",
+        help="polynomial in x, t, u, written out as `show` prints one;"
+        " e.g. 'x^2 - t*x + 1'",
     )
     p.add_argument(
         "--n", type=int, default=None,

@@ -117,6 +117,9 @@ def _dq_claim(s: CoeffSuite, j: int) -> Sum:
 
 
 def _step(at: dict[int, CoeffSuite]) -> tuple[Sum, Sum]:
+    """S_q P_{n+1} and U_2 D_q P_{n+1} from the product rules and the
+    claims at n and n-1, as {offset from n: coefficient}, with `at` the
+    suites of `_suites`."""
     s, sm = at[0], at[-1]
     sq, dq = _sq_claim(s, 0), _dq_claim(s, 0)
     sq_next = _comb(
@@ -129,16 +132,6 @@ def _step(at: dict[int, CoeffSuite]) -> tuple[Sum, Sum]:
         (-s.C_n, _dq_claim(sm, -1)),
     )
     return sq_next, dq_next
-
-
-def derive_step(k: int | None = None) -> tuple[Sum, Sum]:
-    """S_q P_{n+1} and U_2 D_q P_{n+1} from the product rules and the
-    claims at n and n-1, as {offset from n: coefficient}.
-
-    Symbolic in n (u) by default, or with every suite instantiated at
-    n = k.
-    """
-    return _step(_suites(k))
 
 
 def _residuals(k: int | None = None) -> list[IdentityCertificate]:

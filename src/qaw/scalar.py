@@ -50,12 +50,12 @@ _MASK = (1 << 32) - 1
 
 # The bound on exponents from external input: `from_terms`, `tpow` and
 # `upow` refuse one beyond it, Scalar and XPoly `**` a power that would
-# pass it, and the text parser every power and product predicted to,
-# before it is formed.  The package's own arithmetic only adds exponents
-# of modest size, so the packing cannot wrap.
+# pass it, and the text parser an exponent of t, u or x that a term of
+# its text sums to past it, at the factor that passes.  The package's
+# own arithmetic only adds exponents of modest size, so the packing
+# cannot wrap.
 MAX_EXPONENT = 1 << 24
 
-_R0 = Rat(0)
 _R1 = Rat(1)
 
 
@@ -414,11 +414,6 @@ class Scalar(_Ring):
     def has_u(self) -> bool:
         m = _HALF
         return any(((k + m) & _MASK) != m for k in self._t)
-
-    def as_rational(self) -> Rat:
-        if not self.is_rational:
-            raise ValueError("scalar is not a rational constant")
-        return self._t.get(0, _R0)
 
     def laurent_terms(self) -> Iterator[tuple[int, int, Rat]]:
         """Yield (t-exp, u-exp, coeff), highest key first."""

@@ -1,30 +1,33 @@
 """Parsing, rendering and record serialisation.
 
-One tokenizer and one recursive-descent parser cover both the scalar
-grammar and polynomials in x; every error carries the character
-position it was raised at.  The renderers are the inverse maps: parsing
-a rendered value reproduces it exactly.
+The parser reads the normal form that the renderers write, so parsing a
+rendered value reproduces it exactly; every error carries its position.
 
 Grammar (whitespace free):
 
-    expr     :=  term (("+" | "-") term)*
-    term     :=  factor (("*" | "/") factor)*
-    factor   :=  ["-"] atom ["^" ["-"] INTEGER]
-    atom     :=  INTEGER | "t" | "u" | "x" | "(" expr ")"
+    sum     :=  ["-"] term (("+" | "-") term)*
+    term    :=  factor ("*" factor | "/" INTEGER)*
+    factor  :=  INTEGER | "(" INTEGER "/" INTEGER ")"
+             |  ("t" | "u" | "x") ["^" ["-"] INTEGER]
+             |  "(" sum ")"
 
-Every value stays in Q[t^+-1, u^+-1][x]: a "/" or a negative power is
-accepted only where the quotient is a Laurent polynomial, such as
-(t^2 - 1)/(t - 1) or t^-3, and any other is refused at its operator.
+A term holds at most one parenthesised sum, and that sum holds none:
+"(p/q)" is a rational, not a sum.  So a value holds no more monomials
+than its text has characters, and no coefficient has more digits than
+its term.  A power of a sum or of a number, a product of two sums and
+a "/" by anything but an integer are refused at their operator: write
+the expanded text, as `qaw show` prints it.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
+from operator import add
 from typing import NamedTuple
 
-from .scalar import MAX_EXPONENT, ExactDivisionError, Rat, Scalar, tpow, upow, rational
-from .scalar import _max_exponent
+from .scalar import MAX_EXPONENT, Rat, Scalar, _collect, _pack
 from .zsym import XPoly, ZLaurent
 
 
@@ -40,19 +43,11 @@ class ParseError(ValueError):
 # tokenizer / parser
 # ---------------------------------------------------------------------------
 
-_OPS = set("+-*/^()")
-# ASCII only: str.isdigit also accepts digits such as '²' and '٣'
-_DIGITS = set("0123456789")
+# ASCII digits only: str.isdigit and \d also accept '²' and '٣'
+_TOKEN = re.compile(r"\s*([0-9]+|[tux]|[-+*/^()])?")
+_AXIS = {"t": 0, "u": 1, "x": 2}  # a monomial's exponents, in this order
 _RANGE_MSG = "exponent beyond the supported range |e| <= %d" % MAX_EXPONENT
-_RING_MSG = "result is not a Laurent polynomial in t and u"
-
-# The most terms that a power v^e or a product v * w in the parser may
-# hold, predicted by its `_Shape` before it is formed: one Scalar per
-# power of x up to the degree d, holding at most N monomials x^i t^j u^k
-# together, so max(d + 1, N) + d + 1 terms.  A value beyond it is
-# refused at its "^" or "*".
-MAX_POWER_TERMS = 1 << 10
-_SIZE_MSG = "%%s beyond the supported range of %d terms" % MAX_POWER_TERMS
+_EXPANDED = "%s; write the expanded text"
 
 # The most bits that the numerator or the denominator of a coefficient in
 # parsed text may hold.  2^14284 < 10^4300, the most digits that int()
@@ -61,245 +56,150 @@ MAX_COEFF_BITS = 14284
 _BITS_MSG = "coefficient beyond the supported range of %d bits" % MAX_COEFF_BITS
 
 
-class _Shape(NamedTuple):
-    """A power or product predicted before it is formed: at most `count`
-    monomials x^i t^j u^k, with exponents between `lo` and `hi` axis by
-    axis (hi[0] is the degree in x), and each numerator and denominator
-    of its coefficients at most 2^bits."""
-
-    count: int
-    lo: tuple[int, ...]
-    hi: tuple[int, ...]
-    bits: float
-
-    @classmethod
-    def of(cls, count: int, lo: tuple[int, ...], hi: tuple[int, ...], bits: float):
-        # no more monomials than the box of their exponents holds
-        box = math.prod(h - l + 1 for l, h in zip(lo, hi))
-        return cls(min(count, box), lo, hi, bits)
-
-    @property
-    def terms(self) -> int:
-        return max(self.hi[0] + 1, self.count) + self.hi[0] + 1
-
-
-def _shape(v: XPoly, e: int) -> _Shape:
-    """The shape of v^e, v nonzero and e >= 0 unless v is free of x.
-
-    Its monomials are the |e|-element multisets of those of v.  With D
-    the lcm of v's denominators and L the l1 norm of D v, v^e is
-    (D v)^e / D^e, whose numerators are at most L^e and whose
-    denominators divide D^e.  A negative e inverts a monomial, the only
-    base with an inverse in the ring, and swaps its L and D.
-    """
-    *axes, rats = zip(*((i, j, k, r) for i, c in v.terms() for j, k, r in c.laurent_terms()))
-    d = math.lcm(*(int(r.denominator) for r in rats))
-    l1 = sum(abs(int(r.numerator)) * (d // int(r.denominator)) for r in rats)
-    lo, hi = zip(*(sorted((e * min(a), e * max(a))) for a in axes))
-    n = abs(e)
-    return _Shape.of(math.comb(len(rats) + n - 1, n), lo, hi, n * math.log2(max(l1, d)))
-
-
-def _times(a: _Shape, b: _Shape) -> _Shape:
-    """The shape of a product of values of shapes a and b."""
-    return _Shape.of(
-        a.count * b.count,
-        tuple(map(sum, zip(a.lo, b.lo))),
-        tuple(map(sum, zip(a.hi, b.hi))),
-        a.bits + b.bits,
-    )
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    toks = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _DIGITS:
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            toks.append(("num", text[i:j], i))
-            i = j
-        elif ch in "tux":
-            toks.append(("name", ch, i))
-            i += 1
-        elif ch in _OPS:
-            toks.append(("op", ch, i))
-            i += 1
-        else:
-            raise ParseError("unexpected character %r" % ch, i)
-    toks.append(("end", "", n))
-    return toks
-
-
-class _Factor(NamedTuple):
-    """base^e, negated if neg: a power is formed only once a product with
-    it has been predicted."""
-
-    base: XPoly
-    e: int = 1
-    pos: int = 0  # the "^"
-    neg: bool = False
+def _tokenize(text: str) -> list[tuple[str, int]]:
+    """(token, position) pairs, ending with ("", len(text))."""
+    toks, i = [], 0
+    while (m := _TOKEN.match(text, i)).lastindex:
+        toks.append((m[1], m.start(1)))
+        i = m.end()
+    i = m.end()  # past the whitespace before the end or a stray character
+    if i < len(text):
+        raise ParseError("unexpected character %r" % text[i], i)
+    return toks + [("", i)]
 
 
 class _Parser:
+    """Reads a sum into monomials (c, (i, j, k)), c t^i u^j x^k."""
+
     def __init__(self, text: str, allow_x: bool):
         self.toks = _tokenize(text)
         self.k = 0
         self.allow_x = allow_x
 
-    def peek(self):
-        return self.toks[self.k]
-
-    def take(self):
-        t = self.toks[self.k]
+    def take(self) -> tuple[str, int]:
         self.k += 1
-        return t
+        return self.toks[self.k - 1]
 
-    def expect_op(self, op: str):
-        kind, val, pos = self.take()
-        if kind != "op" or val != op:
-            raise ParseError("expected %r" % op, pos)
+    def accept(self, op: str) -> int | None:
+        """The position of the next token, taken, if it is op."""
+        tok, pos = self.toks[self.k]
+        if tok == op:
+            self.k += 1
+            return pos
+        return None
 
     def parse(self) -> XPoly:
-        v = self.expr()
-        kind, val, pos = self.peek()
-        if kind != "end":
-            raise ParseError("unexpected %r" % val, pos)
-        return v
+        monomials = self.sum((0, 0, 0), nested=False)
+        tok, pos = self.toks[self.k]
+        if tok:
+            raise ParseError("unexpected %r" % tok, pos)
+        terms = _collect(((k, _pack(i, j)), c) for c, (i, j, k) in monomials)
+        slots: dict[int, dict] = {}
+        for (k, key), r in terms.items():
+            # the one check of bits, on the finished value
+            if max(r.numerator.bit_length(), r.denominator.bit_length()) > MAX_COEFF_BITS:
+                raise ParseError(_BITS_MSG, 0)
+            slots.setdefault(k, {})[key] = r
+        return XPoly._raw({k: Scalar(t) for k, t in slots.items()})
 
-    @staticmethod
-    def _predicted(s: _Shape, pos: int, what: str) -> None:
-        # a power or product is refused before it is formed: its terms,
-        # then its bits, then its t/u range, so that no packed u-exponent
-        # gets near the 2^31 at which it would wrap into t
-        if s.terms > MAX_POWER_TERMS:
-            raise ParseError(_SIZE_MSG % what, pos)
-        if s.bits >= MAX_COEFF_BITS:
+    def sum(self, off: tuple, nested: bool) -> list:
+        neg = self.accept("-") is not None
+        out = []
+        while True:
+            out += self.term(off, nested, neg)
+            tok = self.toks[self.k][0]
+            if tok not in ("+", "-"):
+                return out
+            self.k += 1
+            neg = tok == "-"
+
+    def term(self, off: tuple, nested: bool, neg: bool) -> list:
+        """The monomials of -c or c t^i u^j x^k times the term's
+        parenthesised sum, if it holds one.  Each exponent keeps to the
+        range together with off, those of the term that encloses this one."""
+        num, den, e = 1, 1, [0, 0, 0]
+        inner = None  # the parenthesised sum's monomials
+        lo = hi = (0, 0, 0)  # their least and greatest exponents
+        while True:
+            tok, pos = self.take()
+            if tok.isdigit():
+                num *= self.literal(tok, pos)
+                self.no_power("power of a number")
+            elif tok in _AXIS:
+                if tok == "x" and not self.allow_x:
+                    raise ParseError("'x' not allowed in a scalar", pos)
+                caret = self.accept("^")
+                n = 1 if caret is None else self.exponent(caret)
+                if tok == "x" and n < 0:
+                    raise ParseError("negative power of x", caret)
+                v = _AXIS[tok]
+                e[v] += n
+                if max(abs(off[v] + e[v] + lo[v]), abs(off[v] + e[v] + hi[v])) > MAX_EXPONENT:
+                    raise ParseError(_RANGE_MSG, pos if caret is None else caret)
+            elif tok == "(" and self.rational_follows():
+                num *= self.literal(*self.take())
+                den *= self.divisor(self.take()[1])
+                self.k += 1
+                self.no_power("power of a number")
+            elif tok == "(":
+                if nested:
+                    raise ParseError("nested parentheses", pos)
+                if inner is not None:
+                    raise ParseError(_EXPANDED % "product of two sums", star)
+                inner = self.sum(tuple(map(add, off, e)), nested=True)
+                if self.accept(")") is None:
+                    raise ParseError("expected ')'", self.toks[self.k][1])
+                self.no_power("power of a sum")
+                lo, hi = (tuple(map(f, *(m for _, m in inner))) for f in (min, max))
+            else:
+                raise ParseError("expected a value", pos)
+            while (slash := self.accept("/")) is not None:
+                den *= self.divisor(slash)
+            star = self.accept("*")  # before the next factor
+            if star is None:
+                break
+        c = Rat(-num if neg else num, den)
+        if inner is None:
+            return [(c, tuple(e))]
+        return [(c * ci, tuple(map(add, e, m))) for ci, m in inner]
+
+    def rational_follows(self) -> bool:
+        """Whether INTEGER "/" INTEGER ")" follows: a "(p/q)", not a sum."""
+        toks = ["1" if t.isdigit() else t for t, _ in self.toks[self.k : self.k + 4]]
+        return toks == ["1", "/", "1", ")"]
+
+    def literal(self, tok: str, pos: int) -> int:
+        # tok < 10^len(tok); int() would refuse more than 4300 digits
+        if len(tok) * math.log2(10) >= MAX_COEFF_BITS:
             raise ParseError(_BITS_MSG, pos)
-        if max(map(abs, s.lo[1:] + s.hi[1:])) > MAX_EXPONENT:
-            raise ParseError(_RANGE_MSG, pos)
+        return int(tok)
 
-    @staticmethod
-    def _checked(v: XPoly, pos: int) -> XPoly:
-        # every value is checked once formed: nothing predicts a sum, which
-        # may gain a bit, or a quotient, which may pass the exponents of
-        # its operands, and a predicted bits bound is a float
-        for c in v.coeffs():
-            if _max_exponent(c) > MAX_EXPONENT:
-                raise ParseError(_RANGE_MSG, pos)
-            for _, _, r in c.laurent_terms():
-                bits = max(r.numerator.bit_length(), r.denominator.bit_length())
-                if bits > MAX_COEFF_BITS:
-                    raise ParseError(_BITS_MSG, pos)
-        return v
+    def divisor(self, slash: int) -> int:
+        """The integer literal after the "/" at slash, nonzero."""
+        tok, pos = self.take()
+        if not tok.isdigit():
+            raise ParseError(_EXPANDED % "division by more than an integer", slash)
+        d = self.literal(tok, pos)
+        if not d:
+            raise ParseError("division by zero", slash)
+        self.no_power("power of a number")
+        return d
 
-    def expr(self) -> XPoly:
-        v = self.term()
-        while True:
-            kind, val, pos = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                w = self.term()
-                v = self._checked(v + w if val == "+" else v - w, pos)
-            else:
-                return v
-
-    def term(self) -> XPoly:
-        v = self.factor()
-        while True:
-            kind, val, pos = self.peek()
-            if not (kind == "op" and val in "*/"):
-                return self._form(v)
-            self.take()
-            w = self.factor()
-            if val == "*":
-                # predicted before either factor's power is formed
-                if v.base and w.base:
-                    shape = _times(_shape(v.base, v.e), _shape(w.base, w.e))
-                    self._predicted(shape, pos, "product")
-                p = self._form(v) * self._form(w)
-            else:
-                p, d = self._form(v), self._form(w)
-                if d.degree > 0:
-                    raise ParseError("cannot divide by a polynomial in x", pos)
-                if not d:
-                    raise ParseError("division by zero", pos)
-                try:
-                    p = XPoly(c / d.coeff(0) for c in p.coeffs())
-                except ExactDivisionError:
-                    raise ParseError(_RING_MSG, pos) from None
-            v = _Factor(self._checked(p, pos))
-
-    def factor(self) -> _Factor:
-        kind, val, pos = self.peek()
-        neg = False
-        if kind == "op" and val == "-":
-            self.take()
-            neg = True
-        v = self.atom()
-        kind, val, pos = self.peek()
-        if not (kind == "op" and val == "^"):
-            return _Factor(v, neg=neg)
-        self.take()
-        e = self.exponent(pos)
-        if v.degree > 0 and e < 0:
-            raise ParseError("negative power of x", pos)
-        if not v:
-            if e <= 0:
-                raise ParseError("zero raised to a nonpositive power", pos)
-            return _Factor(v, neg=neg)
-        self._predicted(_shape(v, e), pos, "power")
-        return _Factor(v, e, pos, neg)
-
-    def _form(self, f: _Factor) -> XPoly:
-        v = f.base
-        if f.e != 1:
-            try:
-                v = v ** f.e if v.degree > 0 else XPoly((v.coeff(0) ** f.e,))
-            except ExactDivisionError:
-                raise ParseError(_RING_MSG, f.pos) from None
-            v = self._checked(v, f.pos)
-        return -v if f.neg else v
+    def no_power(self, what: str):
+        caret = self.accept("^")
+        if caret is not None:
+            raise ParseError(_EXPANDED % what, caret)
 
     def exponent(self, caret: int) -> int:
         """The exponent after the "^" at caret, |e| <= MAX_EXPONENT."""
-        kind, val, pos = self.take()
-        sign = 1
-        if kind == "op" and val == "-":
-            sign = -1
-            kind, val, pos = self.take()
-        if kind != "num":
+        sign = -1 if self.accept("-") is not None else 1
+        tok, pos = self.take()
+        if not tok.isdigit():
             raise ParseError("expected an integer exponent", pos)
         # the digits are counted first: int() refuses more than 4300
-        if len(val.lstrip("0")) > len(str(MAX_EXPONENT)) or int(val) > MAX_EXPONENT:
+        if len(tok.lstrip("0")) > len(str(MAX_EXPONENT)) or int(tok) > MAX_EXPONENT:
             raise ParseError(_RANGE_MSG, caret)
-        return sign * int(val)
-
-    def atom(self) -> XPoly:
-        kind, val, pos = self.take()
-        if kind == "num":
-            # val < 10^len(val); int() would refuse more than 4300 digits
-            if len(val) * math.log2(10) >= MAX_COEFF_BITS:
-                raise ParseError(_BITS_MSG, pos)
-            return XPoly((rational(int(val)),))
-        if kind == "name":
-            if val == "t":
-                return XPoly((tpow(1),))
-            if val == "u":
-                return XPoly((upow(1),))
-            if not self.allow_x:
-                raise ParseError("'x' not allowed in a scalar", pos)
-            return XPoly.x()
-        if kind == "op" and val == "(":
-            v = self.expr()
-            self.expect_op(")")
-            return v
-        raise ParseError("expected a value", pos)
+        return sign * int(tok)
 
 
 def parse_xpoly(text: str) -> XPoly:
@@ -307,8 +207,7 @@ def parse_xpoly(text: str) -> XPoly:
 
 
 def parse_scalar(text: str) -> Scalar:
-    p = _Parser(text, allow_x=False).parse()
-    return p.coeff(0)
+    return _Parser(text, allow_x=False).parse().coeff(0)
 
 
 # ---------------------------------------------------------------------------

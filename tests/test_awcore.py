@@ -4,7 +4,7 @@ import random
 
 from qaw.awcore import ALPHA, ALPHA2M1, OperatorContext, context, u2
 from qaw.families import counterexample_family
-from qaw.scalar import HALF, ONE, U, ZERO, Scalar, rational, tpow, upow
+from qaw.scalar import HALF, ONE, U, ZERO, Rat, Scalar, rational, tpow, upow
 from qaw.zsym import XPoly, ZLaurent, x_to_z
 from test_zsym import z_scale
 
@@ -47,7 +47,7 @@ def check_dq_against_lattice(f, expected):
 def test_alpha_constants():
     assert ALPHA == (T2 + tpow(-2)) * HALF
     assert ALPHA2M1 == ALPHA * ALPHA - ONE
-    assert ALPHA2M1 == ((T2 - tpow(-2)) ** 2).scale(rational(1, 4).as_rational())
+    assert ALPHA2M1 == ((T2 - tpow(-2)) ** 2).scale(Rat(1, 4))
 
 
 def test_dq_examples():

@@ -237,39 +237,52 @@ def test_empty_samples_are_usage_errors(capsys):
         assert err.startswith("error: ")
 
 
+RANGE = "exponent beyond the supported range |e| <= 16777216"
+EXPANDED = "; write the expanded text"
+
+
 def test_expand_exponent_out_of_range(capsys):
-    # the last would wrap x^256 u^(2^32) into t x^256 in the packed key
-    # and cancel the -t*x^256: refused at its "^" before it is formed
+    # an exponent is refused at its "^" once it, or its term's sum,
+    # passes 2^24; the last, which printed a wrong expansion through a
+    # wrapped (t, u) key, is a power of a sum, refused at its "^" too
     last = "(x*u^16777216)^256 - t*x^256 + x"
-    for text, pos in (("u^2147483648", 1), ("2^99999999999", 1), (last, 14)):
+    for text, pos in (
+        ("u^2147483648", 1), ("u^16777216*u^16777216", 12), ("x^16777217", 1), (last, 14)
+    ):
         code, out, err = run(capsys, "expand", "--degree-poly", text)
         assert code == 2
         assert out == ""
         assert err.startswith("error: position %d:" % pos)
-    assert err == "error: position 14: exponent beyond the supported range |e| <= 16777216\n"
+    assert err == "error: position 14: power of a sum%s\n" % EXPANDED
     # int() would refuse these 5000 digits with no position
-    for base in ("x", "1"):
+    for base in ("x", "t"):
         code, out, err = run(capsys, "expand", "--degree-poly", base + "^" + "9" * 5000)
         assert (code, out) == (2, "")
-        assert err == "error: position 1: exponent beyond the supported range |e| <= 16777216\n"
+        assert err == "error: position 1: %s\n" % RANGE
 
 
 def test_expand_power_too_large(capsys):
-    for text, pos in (("x^99999999", 1), ("(1+t)^100000", 5)):
+    for text, pos, why in (
+        ("x^99999999", 1, RANGE),
+        ("(1+t)^100000", 5, "power of a sum" + EXPANDED),
+        ("2^14000", 1, "power of a number" + EXPANDED),
+    ):
         code, out, err = run(capsys, "expand", "--degree-poly", text)
         assert code == 2
         assert out == ""
-        assert err.startswith("error: position %d:" % pos)
+        assert err == "error: position %d: %s\n" % (pos, why)
 
 
 def test_expand_product_too_large(capsys):
-    # refused at the "*" from the predicted size, before the powers or the
-    # million-term product are formed
+    # a product of two sums of 1000 terms each is refused at its "*",
+    # before its million terms are formed
+    a = " + ".join("t^%d" % k for k in range(1000))
+    text = "(%s)*(%s)" % (a, a.replace("t", "u"))
     start = time.perf_counter()
-    code, out, err = run(capsys, "expand", "--degree-poly", "(1+t)^1000*(1+u)^1000")
+    code, out, err = run(capsys, "expand", "--degree-poly", text)
     assert time.perf_counter() - start < 1
     assert (code, out) == (2, "")
-    assert err == "error: position 10: product beyond the supported range of 1024 terms\n"
+    assert err == "error: position %d: product of two sums%s\n" % (len(a) + 2, EXPANDED)
 
 
 def test_verify_numeric(capsys):
@@ -346,14 +359,18 @@ def test_expand(capsys):
 
 
 def test_expand_quotient_outside_the_ring(capsys):
-    # an exact quotient stays in Q[t^+-1, u^+-1] and expands
-    code, out, _ = run(capsys, "expand", "--degree-poly", "(t^2-1)/(t-1)*x")
-    assert code == 0
-    assert out.splitlines()[1] == 'index=1 coefficient="t + 1"'
-    for text, pos in (("x/(1+t)", 1), ("(1+t)^-1", 5), ("x + u/(u - 1)", 5)):
+    # a "/" takes only an integer, so even an exact quotient is refused
+    # at its operator; its expanded text, (t + 1)*x, expands
+    division = "division by more than an integer" + EXPANDED
+    for text, pos, why in (
+        ("(t^2-1)/(t-1)*x", 7, division),
+        ("x/(1+t)", 1, division),
+        ("(1+t)^-1", 5, "power of a sum" + EXPANDED),
+        ("x + u/(u - 1)", 5, division),
+    ):
         code, out, err = run(capsys, "expand", "--degree-poly", text)
         assert (code, out) == (2, "")
-        assert err == "error: position %d: result is not a Laurent polynomial in t and u\n" % pos
+        assert err == "error: position %d: %s\n" % (pos, why)
     # and the installed command prints that one line, with no traceback
     src = os.path.dirname(os.path.dirname(os.path.abspath(qaw.__file__)))
     proc = subprocess.run(
@@ -361,9 +378,7 @@ def test_expand_quotient_outside_the_ring(capsys):
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 2 and proc.stdout == ""
-    assert proc.stderr.splitlines() == [
-        "error: position 1: result is not a Laurent polynomial in t and u"
-    ]
+    assert proc.stderr.splitlines() == ["error: position 1: " + division]
 
 
 def test_expand_malformed_poly(capsys):
@@ -476,13 +491,21 @@ def refuse_to_expand(*args):
 
 
 def test_expand_degree_bound(capsys, monkeypatch):
-    # the first degree past the bound is refused before any product
+    # the first degree past the bound is refused before any product, and
+    # x^16777216 as fast: it is one monomial, and no dense list of its
+    # coefficients is formed
     monkeypatch.setattr(qaw.cli, "expand_in_basis", refuse_to_expand)
-    deg = qaw.cli.MAX_EXPAND_DEGREE + 1
-    for text in ("x^%d" % deg, "(x+t+u)^%d - 1" % deg):
+    bound = qaw.cli.MAX_EXPAND_DEGREE
+    for text, deg in (
+        ("x^%d" % (bound + 1), bound + 1),
+        ("t*x^%d - 1" % (bound + 1), bound + 1),
+        ("x^16777216", 16777216),
+    ):
+        start = time.perf_counter()
         code, out, err = run(capsys, "expand", "--degree-poly", text)
+        assert time.perf_counter() - start < 1
         assert (code, out) == (2, "")
-        assert err == "error: degree %d is beyond the bound %d\n" % (deg, deg - 1)
+        assert err == "error: degree %d is beyond the bound %d\n" % (deg, bound)
 
 
 def test_expand_n_checked_before_expanding(capsys, monkeypatch):

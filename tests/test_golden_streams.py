@@ -30,13 +30,29 @@ STREAMS = {
     ),
 }
 
+# (x + t + u)^8 as `qaw show` would print it: the parser reads only
+# that normal form, and no power of a sum
+X_T_U_8 = (
+    "x^8 + (8*t + 8*u)*x^7 + (28*t^2 + 56*t*u + 28*u^2)*x^6"
+    " + (56*t^3 + 168*t^2*u + 168*t*u^2 + 56*u^3)*x^5"
+    " + (70*t^4 + 280*t^3*u + 420*t^2*u^2 + 280*t*u^3 + 70*u^4)*x^4"
+    " + (56*t^5 + 280*t^4*u + 560*t^3*u^2 + 560*t^2*u^3 + 280*t*u^4 + 56*u^5)*x^3"
+    " + (28*t^6 + 168*t^5*u + 420*t^4*u^2 + 560*t^3*u^3 + 420*t^2*u^4"
+    " + 168*t*u^5 + 28*u^6)*x^2"
+    " + (8*t^7 + 56*t^6*u + 168*t^5*u^2 + 280*t^4*u^3 + 280*t^3*u^4"
+    " + 168*t^2*u^5 + 56*t*u^6 + 8*u^7)*x"
+    " + (t^8 + 8*t^7*u + 28*t^6*u^2 + 56*t^5*u^3 + 70*t^4*u^4 + 56*t^3*u^5"
+    " + 28*t^2*u^6 + 8*t*u^7 + u^8)"
+)
+
 # (--degree-poly, extra arguments), in the order of expand.jsonl
 EXPAND_CASES = (
     ("x^2 - t*x + 1", ("--n", "3")),
     ("x^10", ()),
-    ("(x+t+u)^8", ()),
+    (X_T_U_8, ()),
     ("3*x^7-t*x^2+u/2", ()),
-    ("(t^2-1)/(t-1)*x", ()),
+    # (t^2 - 1)/(t - 1)*x
+    ("(t + 1)*x", ()),
     ("0", ("--n", "2")),
 )
 

@@ -13,7 +13,6 @@ from qaw.inductor import (
     certify_base_case,
     certify_dq_step,
     certify_sq_step,
-    derive_step,
     instantiation_coherence,
 )
 from qaw.scalar import ONE, ZERO
@@ -129,7 +128,7 @@ def test_derived_step_is_the_operators_on_p_next(n):
     # to P_{n+1}: the derivation against the closed-form operators
     ctx = context()
     p_next = counterexample_family().poly(n + 1)
-    sq_next, dq_next = derive_step(n)
+    sq_next, dq_next = inductor._step(inductor._suites(n))
     assert materialise(sq_next, n) == ctx.sq(p_next)
     assert materialise(dq_next, n) == ctx.u2() * ctx.dq(p_next)
 
