@@ -150,7 +150,8 @@ class _Parser:
                 if self.accept(")") is None:
                     raise ParseError("expected ')'", self.toks[self.k][1])
                 self.no_power("power of a sum")
-                lo, hi = (tuple(map(f, *(m for _, m in inner))) for f in (min, max))
+                axes = list(zip(*(m for _, m in inner)))
+                lo, hi = (tuple(map(f, axes)) for f in (min, max))
             else:
                 raise ParseError("expected a value", pos)
             while (slash := self.accept("/")) is not None:

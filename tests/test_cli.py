@@ -358,6 +358,14 @@ def test_expand(capsys):
     assert recs[3]["coefficient"] == "0"
 
 
+def test_expand_one_term_sum(capsys):
+    # a parenthesised sum may hold a single term, read as the term itself
+    for text, same in (("(t)*x", "t*x"), ("-(x)", "-x")):
+        code, out, err = run(capsys, "expand", "--degree-poly=" + text)
+        assert (code, err) == (0, "")
+        assert out == run(capsys, "expand", "--degree-poly=" + same)[1]
+
+
 def test_expand_quotient_outside_the_ring(capsys):
     # a "/" takes only an integer, so even an exact quotient is refused
     # at its operator; its expanded text, (t + 1)*x, expands
