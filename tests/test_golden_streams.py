@@ -3,13 +3,15 @@
 Each verify_*.jsonl file under tests/data is the output of `qaw verify
 <target> ... --format json` with the arguments listed below, and
 expand.jsonl the outputs of `qaw expand ... --format json` for
-`EXPAND_CASES`, one after the other.  Any change that moves a
-verdict, a bandwidth, a residual or a float of `numeric` shows up here
-as a diff; rewrite a file only for an intended change of output.  The
-`numeric` stream pins IEEE-754 doubles as CPython computes them with the
-platform's `pow`.
+`EXPAND_CASES`, one after the other; eval.txt likewise holds the
+outputs of `qaw eval` for `EVAL_CASES`.  Any change that moves a
+verdict, a bandwidth, a residual or a float of `numeric` or `eval` shows
+up here as a diff; rewrite a file only for an intended change of output.
+The `numeric` and `eval` files pin IEEE-754 doubles as CPython computes
+them with the platform's `pow`.
 """
 
+import itertools
 import os
 
 import pytest
@@ -56,6 +58,12 @@ EXPAND_CASES = (
     ("0", ("--n", "2")),
 )
 
+# (--n, --q, --x) of each line of eval.txt, in order: `eval` runs the
+# float recurrence that the witness runs, on the same recurrence floats
+EVAL_CASES = tuple(
+    itertools.product((0, 1, 15, 40), ("0.05", "0.3", "0.95"), ("-3", "0.2", "1.5"))
+)
+
 
 def _golden(name):
     with open(os.path.join(DATA, name), encoding="utf-8", newline="") as fh:
@@ -76,3 +84,11 @@ def test_expand_stream_is_unchanged(capsys):
         assert main(["expand", "--degree-poly", text, *extra, "--format", "json"]) == 0
         out.append(capsys.readouterr().out)
     assert "".join(out) == _golden("expand.jsonl")
+
+
+def test_eval_outputs_are_unchanged(capsys):
+    out = []
+    for n, q, x in EVAL_CASES:
+        assert main(["eval", "--n", str(n), "--q", q, "--x=" + x]) == 0
+        out.append(capsys.readouterr().out)
+    assert "".join(out) == _golden("eval.txt")
