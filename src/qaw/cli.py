@@ -97,6 +97,8 @@ def _oracle(args):
         ("counterexample", COUNTEREXAMPLE_PARAMS, counterexample_family()),
         ("generic", _GENERIC_PARAMS, dual_qhahn_family(_GENERIC_PARAMS)),
     )
+    # the independent 4phi3 sum against the integer kernel's p_n, which
+    # `verify proposition` and `show` run on
     for label, p, fam in sets:
         for n in range(args.n_max + 1):
             hyp = aw_hyp_poly(n, p.a, p.b, p.c, ZERO, p.base)
@@ -104,7 +106,7 @@ def _oracle(args):
                 "check": "oracle",
                 "params": label,
                 "n": n,
-                "status": "pass" if hyp == fam.poly(n) else "fail",
+                "status": "pass" if hyp == _poly_xrows(n, fam) else "fail",
             }
 
 
@@ -146,7 +148,7 @@ def _cmd_eval(args) -> int:
     # the recurrence itself, in floats: Horner's rule on the monomial
     # x-form cancels, about 1e-7 relative at n = 40
     fam = counterexample_family()
-    rec = [(fam.rec_a(k), fam.rec_b(k)) for k in range(args.n)]
+    rec = [(fam.rec_a(k).float_terms(), fam.rec_b(k).float_terms()) for k in range(args.n)]
     cur = _recurrence(rec, args.q)(args.x)[-1]
     if not math.isfinite(cur):
         raise ValueError("p_%d(%r) is not finite in floating point" % (args.n, args.x))

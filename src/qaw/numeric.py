@@ -13,10 +13,10 @@ Approximation, 2004).  The closed forms are split by powers of
 u = t^(2n) = q^(n/2) into u-free parts f_j, and the value at n is the
 float sum of f_j(q) q^(nj/2).  Each float is computed once:
 
-- once per run: the exact recurrence coefficients a_k, b_k, the split
-  closed forms and the coefficients of U_2;
-- once per q sample: a_k and b_k, each f_j, and U_2's coefficients, in
-  floats, and the closed forms' values for every n;
+- once per run: a_k, b_k, the split closed forms and U_2's coefficients,
+  exactly and then as float terms (`Scalar.float_terms`, as `evaluate`);
+- once per q sample: each power q^e that they or the weights q^(nj/2)
+  read, and from them the floats of all of these and the closed forms;
 - once per grid point (q, x): the lattice pair x(s +- 1/2), the
   recurrence at x and at both lattice points, and the weight U_2(x);
   every n and both relations read them.
@@ -37,12 +37,13 @@ failed the correct family there.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, NamedTuple
 
 from .awcore import u2
 from .families import counterexample_family
-from .scalar import Scalar
+from .scalar import float_value
 from .structure import _closed_forms
 from .zsym import XPoly
 
@@ -91,13 +92,16 @@ def eval_poly(f: XPoly, q0: float, x0: float) -> float:
     return _horner([c.evaluate(q0) for c in f.coeffs()], x0)
 
 
-def _recurrence(
-    rec: list[tuple[Scalar, Scalar]], q0: float
-) -> Callable[[float], list[float]]:
-    """x -> [p_0(x), .., p_m(x)] in floats, m = len(rec), with each pair
-    (a_k, b_k) of `rec` evaluated at q0 once, by
+# e -> q0 ** e, each distinct power computed once for all of one q sample
+_powers = functools.lru_cache(maxsize=1)(lambda q0: functools.lru_cache(None)(q0.__pow__))
+
+
+def _recurrence(rec: list[tuple[tuple, tuple]], q0: float) -> Callable[[float], list[float]]:
+    """x -> [p_0(x), .., p_m(x)] in floats, m = len(rec), with the float
+    terms of each pair (a_k, b_k) of `rec` evaluated at q0 once, by
     p_{k+1} = (x - a_k) p_k - b_k p_{k-1}."""
-    ab = [(a.evaluate(q0), b.evaluate(q0)) for a, b in rec]
+    pw = _powers(q0)
+    ab = [(float_value(a, pw), float_value(b, pw)) for a, b in rec]
 
     def members(x0: float) -> list[float]:
         ps = [0.0, 1.0]
@@ -140,31 +144,10 @@ def lattice_sq(f: Callable[[float], float], q0: float, x0: float) -> float:
     return _sq(f(xp), f(xm))
 
 
-def _dot(pairs) -> float:
-    """The sum of a * b over the pairs, added left to right from 0.0.
-
-    `sum` is avoided: from Python 3.12 on it compensates float sums,
-    which would make the floats depend on the interpreter's version.
-    """
-    s = 0.0
-    for a, b in pairs:
-        s += a * b
-    return s
-
-
 # a deviation at most this large counts as none
 _ABS_TOL = 1e-12
 # a compared point, formatted only once it is the worst or breaks
 _LABEL = "%s n=%d %s lattice-vs-closed"
-
-
-def _rel_dev(a: float, b: float) -> float:
-    d = abs(a - b)
-    if math.isnan(d):
-        return d
-    if d <= _ABS_TOL:
-        return 0.0
-    return d / max(abs(a), abs(b))
 
 
 class NumericSummary(NamedTuple):
@@ -187,34 +170,30 @@ class NumericSummary(NamedTuple):
         return rec
 
 
-def _by_u_power(s: Scalar) -> list[tuple[int, Scalar]]:
-    """The pairs (j, f_j) with s = sum_j f_j u^j and every f_j u-free."""
-    parts: dict[int, dict] = {}
-    for i, j, c in s.laurent_terms():
-        parts.setdefault(j, {})[i, 0] = c
-    return [(j, Scalar.from_terms(p)) for j, p in parts.items()]
-
-
-def _split_closed_forms() -> list[dict[int, list[tuple[int, Scalar]]]]:
-    """Both relations' closed forms, sq then dq, by offset and u-power."""
+def _split_closed_forms() -> list[dict[int, list[tuple[float, tuple]]]]:
+    """Both relations' closed forms, sq then dq, as {offset: [(j/2, float terms of f_j)]}."""
     return [
-        {o: _by_u_power(f) for o, f in _closed_forms(c).items()}
+        {
+            o: [(0.5 * j, p.float_terms()) for j, p in f.u_parts().items()]
+            for o, f in _closed_forms(c).items()
+        }
         for c in ("sq-relation", "dq-relation")
     ]
 
 
 def _closed_values(q0: float, nmax: int, split) -> list[tuple[dict, dict]]:
     """For n = 0 .. nmax, the closed forms of both relations at q0 and n
-    as {offset: float}, from the u-split forms of `split`: each f_j is
-    evaluated once, and its value at n is f_j(q0) q0^(nj/2)."""
+    as {offset: float}, from the u-split forms of `split`: each f_j is evaluated
+    once, and the value at n is `float_value` of the terms (f_j(q0), nj/2), d = 0."""
+    pw = _powers(q0)
     evals = [
-        {o: [(0.5 * j, f.evaluate(q0)) for j, f in parts] for o, parts in rel.items()}
+        {o: [(float_value(f, pw), h) for h, f in parts] for o, parts in rel.items()}
         for rel in split
     ]
     return [
         tuple(
             {
-                o: _dot((v, q0 ** (h * n)) for h, v in parts)
+                o: float_value(([(v, h * n) for v, h in parts], 0.0), pw)
                 for o, parts in rel.items()
                 if n + o >= 0
             }
@@ -238,18 +217,16 @@ def numeric_crosscheck(cfg: NumericConfig, nmax: int) -> NumericSummary:
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
     fam = counterexample_family()
-    rec = [(fam.rec_a(k), fam.rec_b(k)) for k in range(nmax + 1)]
+    rec = [(fam.rec_a(k).float_terms(), fam.rec_b(k).float_terms()) for k in range(nmax + 1)]
     split = _split_closed_forms()
-    weight_coeffs = u2().coeffs()
-    worst = 0.0
-    worst_at = None
-    broken = ""
+    weight_terms = [c.float_terms() for c in u2().coeffs()]
+    worst, worst_at, broken = 0.0, None, ""
     for q0 in cfg.q_samples:
         at = "q=%r" % (q0,)
         try:
             members = _recurrence(rec, q0)
             closed = _closed_values(q0, nmax, split)
-            weight_q = [c.evaluate(q0) for c in weight_coeffs]
+            weight_q = [float_value(c, _powers(q0)) for c in weight_terms]
             for x0 in cfg.x_samples:
                 at = "q=%r x=%r" % (q0, x0)
                 # one recurrence pass at x0 and at each of x(s +- 1/2)
@@ -263,8 +240,15 @@ def numeric_crosscheck(cfg: NumericConfig, nmax: int) -> NumericSummary:
                         ("sq", _sq(fp, fm), sq_cf),
                         ("dq", weight * _dq(fp, fm, xp, xm), dq_cf),
                     ):
-                        rhs = _dot((c, vals[n + k]) for k, c in cf.items())
-                        d = _rel_dev(lhs, rhs)
+                        # added left to right from 0.0, as `float_value` adds
+                        rhs = 0.0
+                        for k, c in cf.items():
+                            rhs += c * vals[n + k]
+                        d = abs(lhs - rhs)
+                        if d > _ABS_TOL:
+                            d /= max(abs(lhs), abs(rhs))
+                        elif not math.isnan(d):
+                            continue
                         if d <= worst:  # NaN compares false
                             continue
                         if math.isfinite(d):

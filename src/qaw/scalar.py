@@ -421,6 +421,14 @@ class Scalar(_Ring):
             i, j = _unpack(k)
             yield i, j, self._t[k]
 
+    def u_parts(self) -> dict[int, "Scalar"]:
+        """{j: f_j} with self = sum_j f_j u^j, each f_j by falling t-exponent."""
+        parts: dict[int, dict] = {}
+        for k in sorted(self._t, reverse=True):
+            j = ((k + _HALF) & _MASK) - _HALF
+            parts.setdefault(j, {})[k - j] = self._t[k]
+        return {j: Scalar(p) for j, p in parts.items()}
+
     # a value read as numerator over denominator, as the benchmark's
     # checks read it: the terms over the constant 1
     numerator_terms = laurent_terms
@@ -486,22 +494,19 @@ class Scalar(_Ring):
         return Scalar(_collect((k + d * (((k + m) & _MASK) - m), c) for k, c in self._t.items()))
 
     def evaluate(self, q0: float) -> float:
-        """Evaluate a u-free scalar at a numeric q0 in (0, 1), with t = q0^(1/4).
-
-        The value is summed as the true polynomial t^d s, in term order,
-        and then divided by t^d, where d clears the negative exponents.
-        A scalar that mentions u raises ValueError; `instantiate_n` first.
-        """
+        """`float_value` of a u-free scalar's `float_terms` at q0 in (0, 1), with
+        t = q0^(1/4); one that mentions u raises ValueError: `instantiate_n` first."""
         if not 0.0 < q0 < 1.0:
             raise ValueError("q0 must lie strictly between 0 and 1")
-        terms = [(_unpack(k), c) for k, c in self._t.items()]
-        if any(j for (_, j), _ in terms):
+        return float_value(self.float_terms(), q0.__pow__)
+
+    def float_terms(self) -> tuple[tuple[tuple[float, float], ...], float]:
+        """The terms c t^i of a u-free scalar as the pairs (float(c), (i + d)/4)
+        in dict order, and d/4, where d clears the negative exponents."""
+        if self.has_u:
             raise ValueError("scalar depends on u; instantiate n first")
-        d = max(0, -min((i for (i, _), _ in terms), default=0))
-        s = 0.0
-        for (i, _), c in terms:
-            s += float(c) * q0 ** (0.25 * (i + d))
-        return s / q0 ** (0.25 * d)
+        d = max(0, -(min(self._t, default=0) >> _SHIFT))  # a u-free key is i << 32
+        return tuple((float(c), 0.25 * ((k >> _SHIFT) + d)) for k, c in self._t.items()), 0.25 * d
 
     # -- rendering ---------------------------------------------------------
 
@@ -509,6 +514,17 @@ class Scalar(_Ring):
         from . import textio
 
         return textio.render_scalar(self)
+
+
+def float_value(terms: tuple[tuple[tuple[float, float], ...], float], pw) -> float:
+    """The sum of c q0^e over the pairs (c, e) of `Scalar.float_terms`, in
+    order from 0.0 (not `sum`, which from Python 3.12 on compensates),
+    over q0^(d/4); pw(e) is q0 ** e."""
+    pairs, d4 = terms
+    s = 0.0
+    for c, e in pairs:
+        s += c * pw(e)
+    return s / pw(d4)
 
 
 def as_scalar(v) -> Scalar:

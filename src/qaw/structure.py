@@ -530,7 +530,7 @@ def _x_rows(z: dict[int, Row], es: list[list[int]], w: int, g: int) -> list[Row]
 
 
 def _poly_xrows(n: int, fam: OPSFamily) -> XPoly:
-    """p_n alone, Q_n / 2^n, read from its x-coefficient rows, for `qaw show`.
+    """p_n alone, Q_n / 2^n, read from its x-coefficient rows: `show`, `verify oracle`.
 
     The rows are `_x_rows` of Q_n's z-rows, at one slot width to which
     the stored rows are repacked until no bound reaches it.  ValueError

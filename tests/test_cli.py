@@ -347,6 +347,29 @@ def test_verify_oracle(capsys):
     assert all(r["status"] == "pass" for r in recs)
 
 
+def test_corrupted_kernel_member_fails_the_oracle(capsys, monkeypatch):
+    # the 4phi3 sum is checked against the integer kernel's p_n, which
+    # `verify proposition` and `show` run on: t added to the x^0
+    # coefficient of the first p_2 it reads must fail that record alone
+    poly_xrows = qaw.cli._poly_xrows
+    calls = []
+
+    def corrupted(n, fam):
+        p = poly_xrows(n, fam)
+        calls.append(n)
+        return p + T if calls.count(2) == 1 and n == 2 else p
+
+    monkeypatch.setattr(qaw.cli, "_poly_xrows", corrupted)
+    code, out, err = run(capsys, "verify", "oracle", "--n-max", "3", "--format", "json")
+    assert code == 1
+    assert "Traceback" not in err
+    recs = json_lines(out)
+    assert len(recs) == 8
+    assert [(r["params"], r["n"], r["status"]) for r in recs if r["status"] != "pass"] == [
+        ("counterexample", 2, "fail")
+    ]
+
+
 def test_expand(capsys):
     code, out, _ = run(
         capsys, "expand", "--degree-poly", "x^2 - t*x + 1", "--n", "3", "--format", "json"

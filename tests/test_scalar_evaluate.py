@@ -1,10 +1,11 @@
-"""`Scalar.evaluate` against its former term loop, bit for bit.
+"""`Scalar.evaluate` and the float witness against their former term loop, bit for bit.
 
-`evaluate` reads each packed key once, for the u check, the shift d
-that clears negative t-exponents and the sum.  `reference_evaluate`
-below is the loop it replaced, which unpacked the keys three times.
-Both must return the same IEEE-754 double, or raise the same error, for
-any Scalar and any q0: the float witness's golden streams rest on it.
+Both sum a scalar's `float_terms`, taken once, through `float_value`;
+the witness reads every power of q through one cache per q sample.
+`reference_evaluate` below is the loop that `evaluate` ran before, which
+unpacked the keys three times and took every power afresh.  All must
+return the same IEEE-754 double, or raise the same error, for any Scalar
+and any q0: the float witness's golden streams rest on it.
 """
 
 import math
@@ -15,7 +16,8 @@ import pytest
 hyp = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from qaw.scalar import Rat, Scalar, _pmins, _unpack  # noqa: E402
+from qaw.numeric import _powers  # noqa: E402
+from qaw.scalar import Rat, Scalar, _pmins, _unpack, float_value  # noqa: E402
 
 SETTINGS = hyp.settings(
     max_examples=200,
@@ -78,6 +80,17 @@ Q0 = st.one_of(
 @hyp.given(SCALARS, Q0)
 def test_evaluate_matches_reference_bit_for_bit(s, q0):
     assert outcome(s.evaluate, q0) == outcome(reference_evaluate, s, q0)
+
+
+@SETTINGS
+@hyp.given(st.lists(SCALARS, min_size=1, max_size=6), Q0)
+def test_witness_terms_and_shared_powers_match_reference(scalars, q0):
+    # the witness takes each form's float terms once per run and every
+    # power of a q sample from one cache, whichever form filled it first
+    terms = [s.float_terms() for s in scalars]
+    pw = _powers(q0)
+    for s, t in zip(scalars, terms):
+        assert outcome(float_value, t, pw) == outcome(reference_evaluate, s, q0)
 
 
 @hyp.settings(SETTINGS, max_examples=100)
