@@ -14,7 +14,7 @@ u = t^(2n) = q^(n/2) into u-free parts f_j, and the value at n is the
 float sum of f_j(q) q^(nj/2).  Each float is computed once:
 
 - once per run: a_k, b_k, the split closed forms and U_2's coefficients,
-  exactly and then as float terms (`Scalar.float_terms`, as `evaluate`);
+  exactly and then as float terms (`Scalar.float_terms`, which `evaluate` sums too);
 - once per q sample: each power q^e that they or the weights q^(nj/2)
   read, and from them the floats of all of these and the closed forms;
 - once per grid point (q, x): the lattice pair x(s +- 1/2), the
